@@ -14,13 +14,14 @@ Every failure prints a single ``error: ...`` line to stderr.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
 import numpy as np
 
 from .core import ValidationError
-from .ecg import PeakDetectorConfig, preprocess, read_signal, write_signal
+from .ecg import DEFAULT_GATE_SECONDS, PeakDetectorConfig, preprocess, read_signal, write_signal
 from .evaluation import EvalConfig, run_experiment, train_fusion_model
 from .fusion import predict_fused
 from .io import (
@@ -87,99 +88,45 @@ def _parse_vector(text: str) -> np.ndarray:
         raise ValidationError(f"not a comma-separated float vector: {text!r}") from exc
 
 
-# config-file keys per subcommand: flag name -> (args attribute, converter)
-_CONFIG_KEYS = {
-    "simulate": {
-        "preset": ("preset", str),
-        "subjects": ("subjects", int),
-        "samples": ("samples", int),
-        "scenario": ("scenario", str),
-        "face-rule": ("face_rule", _parse_divisors),
-        "ecg-rule": ("ecg_rule", _parse_divisors),
-        "face-target": ("face_target", float),
-        "ecg-target": ("ecg_target", float),
-        "face-overall": ("face_overall", float),
-        "ecg-overall": ("ecg_overall", float),
-        "trials": ("trials", int),
-        "seed": ("seed", int),
-        "folds": ("folds", int),
-        "bound": ("bound", float),
-        "rank-depth": ("rank_depth", int),
-        "threads": ("threads", int),
-        "out": ("out", str),
-        "format": ("format", str),
-        "dump-scores": ("dump_scores", str),
-        "save-model": ("save_model", str),
-    },
-    "evaluate": {
-        "face": ("face", str),
-        "ecg": ("ecg", str),
-        "no-normalize": ("no_normalize", _parse_bool),
-        "scenario": ("scenario", str),
-        "seed": ("seed", int),
-        "folds": ("folds", int),
-        "bound": ("bound", float),
-        "rank-depth": ("rank_depth", int),
-        "threads": ("threads", int),
-        "out": ("out", str),
-        "format": ("format", str),
-        "save-model": ("save_model", str),
-    },
-}
+def _defaults(fn) -> dict:
+    """A library function's parameter defaults by name, so the flags that feed it share them."""
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()}
 
-_DEFAULTS = {
-    "simulate": {
-        "preset": "desk",
-        "scenario": "clean",
-        "face_target": DEFAULT_CLEAN_TARGETS[0],
-        "ecg_target": DEFAULT_CLEAN_TARGETS[1],
-        "face_overall": DEFAULT_DEGRADED_TARGETS[0],
-        "ecg_overall": DEFAULT_DEGRADED_TARGETS[1],
-        "trials": 100_000,
-        "seed": 0,
-        "folds": 10,
-        "bound": 0.20,
-        "rank_depth": 5,
-        "threads": 1,
-        "format": "text",
-    },
-    "evaluate": {
-        "no_normalize": False,
-        "scenario": "unspecified",
-        "seed": 0,
-        "folds": 10,
-        "bound": 0.20,
-        "rank_depth": 5,
-        "threads": 1,
-        "format": "text",
-    },
-}
+
+def _add_run_flags(p: _Parser) -> None:
+    """Flags shared by the two k-fold experiment commands."""
+    run = _defaults(run_experiment)
+    p.add_argument("--seed", type=int, default=run["seed"])
+    p.add_argument("--folds", type=int, default=run["k"])
+    p.add_argument("--bound", type=float, default=EvalConfig.bound)
+    p.add_argument("--rank-depth", type=int, default=EvalConfig.rank_depth)
+    p.add_argument("--threads", type=int, default=EvalConfig.threads)
+    p.add_argument("--out", help="report path (default: print to stdout)")
+    p.add_argument("--format", choices=["text", "structured"], default="text")
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="idfusion", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
+    cal = _defaults(calibrate)
 
-    p = sub.add_parser("simulate", help="calibrated synthetic experiment", parents=[])
+    p = sub.add_parser("simulate", help="calibrated synthetic experiment")
     p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--preset", choices=["desk", "full"])
+    p.add_argument("--preset", choices=["desk", "full"], default="desk")
     p.add_argument("--subjects", type=int)
     p.add_argument("--samples", type=int, help="samples per subject")
-    p.add_argument("--scenario", choices=["clean", "degraded"])
+    p.add_argument("--scenario", choices=["clean", "degraded"], default="clean")
     p.add_argument("--face-rule", type=_parse_divisors, help="degraded-subject divisors, e.g. 2,3")
     p.add_argument("--ecg-rule", type=_parse_divisors)
-    p.add_argument("--face-target", type=float, help="clean rank-1 accuracy target")
-    p.add_argument("--ecg-target", type=float)
-    p.add_argument("--face-overall", type=float, help="degraded-regime overall accuracy target")
-    p.add_argument("--ecg-overall", type=float)
-    p.add_argument("--trials", type=int, help="Monte-Carlo trials per calibration")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--bound", type=float)
-    p.add_argument("--rank-depth", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--out", help="report path (default: print to stdout)")
-    p.add_argument("--format", choices=["text", "structured"])
+    p.add_argument("--face-target", type=float, default=DEFAULT_CLEAN_TARGETS[0],
+                   help="clean rank-1 accuracy target")
+    p.add_argument("--ecg-target", type=float, default=DEFAULT_CLEAN_TARGETS[1])
+    p.add_argument("--face-overall", type=float, default=DEFAULT_DEGRADED_TARGETS[0],
+                   help="degraded-regime overall accuracy target")
+    p.add_argument("--ecg-overall", type=float, default=DEFAULT_DEGRADED_TARGETS[1])
+    p.add_argument("--trials", type=int, default=cal["trials"],
+                   help="Monte-Carlo trials per calibration")
+    _add_run_flags(p)
     p.add_argument("--dump-scores", help="directory for exported score CSVs")
     p.add_argument("--save-model", help="path for the fusion model trained on all samples")
 
@@ -187,16 +134,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--config")
     p.add_argument("--face", help="face score CSV")
     p.add_argument("--ecg", help="ecg score CSV")
-    p.add_argument("--no-normalize", action="store_const", const=True,
+    p.add_argument("--no-normalize", action="store_true",
                    help="trust the files to already be in [0, 1]")
-    p.add_argument("--scenario", help="label echoed into the report")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--bound", type=float)
-    p.add_argument("--rank-depth", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["text", "structured"])
+    p.add_argument("--scenario", default=EvalConfig.scenario, help="label echoed into the report")
+    _add_run_flags(p)
     p.add_argument("--save-model")
 
     p = sub.add_parser("fuse", help="single fused prediction from a saved model")
@@ -208,66 +149,82 @@ def _build_parser() -> _Parser:
     p.add_argument("--in", dest="input", required=True, help=".txt (one value/line) or .csv (time,value)")
     p.add_argument("--out", required=True)
     p.add_argument("--rate", type=float, help="sample rate in Hz (default 512; inferred for CSV)")
-    p.add_argument("--duration", type=float, default=4.0, help="gate length in seconds")
-    p.add_argument("--threshold-fraction", type=float, default=0.8)
-    p.add_argument("--search-window", type=float, default=1.5, help="peak search window in seconds")
+    p.add_argument("--duration", type=float, default=DEFAULT_GATE_SECONDS,
+                   help="gate length in seconds")
+    p.add_argument("--threshold-fraction", type=float, default=PeakDetectorConfig.threshold_fraction)
+    p.add_argument("--search-window", type=float, default=PeakDetectorConfig.search_window_seconds,
+                   help="peak search window in seconds")
 
     p = sub.add_parser("calibrate", help="fit a noise sigma to a target accuracy")
     p.add_argument("--target", type=float, required=True)
-    p.add_argument("--classes", type=int, default=87)
-    p.add_argument("--samples", type=int, default=100, help="samples per subject (echoed in params)")
-    p.add_argument("--mean", type=float, default=1.0, help="true-class logit offset")
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sigma-min", type=float, default=1e-4)
-    p.add_argument("--sigma-max", type=float, default=1e4)
+    p.add_argument("--classes", type=int, default=FULL_PRESET[0])
+    p.add_argument("--samples", type=int, default=FULL_PRESET[1],
+                   help="samples per subject (echoed in params)")
+    p.add_argument("--mean", type=float, default=GeneratorParams.true_class_mean,
+                   help="true-class logit offset")
+    p.add_argument("--trials", type=int, default=cal["trials"])
+    p.add_argument("--seed", type=int, default=cal["seed"])
+    p.add_argument("--sigma-min", type=float, default=cal["sigma_range"][0])
+    p.add_argument("--sigma-max", type=float, default=cal["sigma_range"][1])
     p.add_argument("--out", help="write the result JSON here instead of stdout")
 
+    parser.commands = sub.choices  # subcommand name -> its parser
     return parser
 
 
-def _merge_config(args, command: str) -> None:
-    """Fill unset flags from the config file, then apply the hard defaults."""
-    if getattr(args, "config", None):
-        keys = _CONFIG_KEYS[command]
-        for key, value in parse_config_file(args.config).items():
-            if key not in keys:
-                raise _UsageError(f"unknown config key {key!r} for {command}")
-            dest, conv = keys[key]
-            if getattr(args, dest) is None:
-                try:
-                    setattr(args, dest, conv(value))
-                except (ValueError, ValidationError) as exc:
-                    raise _UsageError(f"config key {key!r}: {exc}") from exc
-    for dest, value in _DEFAULTS[command].items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
+def _config_defaults(command: _Parser, name: str, path) -> dict:
+    """A config file's values, converted and checked exactly like their flags.
+
+    Every flag but ``--config`` is a key, spelled without the leading ``--``.
+    """
+    actions = {
+        a.option_strings[-1][2:]: a
+        for a in command._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
+    out = {}
+    for key, value in parse_config_file(path).items():
+        action = actions.get(key)
+        if action is None:
+            raise _UsageError(f"unknown config key {key!r} for {name}")
+        conv = _parse_bool if action.nargs == 0 else (action.type or str)
+        try:
+            converted = conv(value)
+        except (ValueError, ValidationError) as exc:
+            raise _UsageError(f"config key {key!r}: {exc}") from exc
+        if action.choices is not None and converted not in action.choices:
+            raise _UsageError(
+                f"config key {key!r}: invalid choice {value!r} "
+                f"(choose from {', '.join(action.choices)})"
+            )
+        out[action.dest] = converted
+    return out
 
 
-def _eval_config(args) -> EvalConfig:
-    return EvalConfig(
+def _run_and_report(dataset, args) -> int:
+    """The k-fold experiment, its exports and its report: shared by simulate and evaluate."""
+    cfg = EvalConfig(
         bound=args.bound,
         rank_depth=args.rank_depth,
         scenario=args.scenario,
         threads=args.threads,
     )
-
-
-def _emit_report(report, args) -> None:
+    report = run_experiment(dataset, k=args.folds, seed=args.seed, cfg=cfg)
+    if getattr(args, "dump_scores", None):  # simulate only
+        dump_dataset_scores(dataset, args.dump_scores)
+    if args.save_model:
+        model = train_fusion_model(dataset.face, dataset.ecg, dataset.labels, cfg)
+        save_fusion_model(model, args.save_model)
     if args.out:
         write_report(report, args.out, fmt=args.format)
     elif args.format == "structured":
         sys.stdout.write(json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write(render_report_text(report))
+    return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
-    _merge_config(args, "simulate")
-    if args.preset not in ("desk", "full"):
-        raise _UsageError(f"unknown preset {args.preset!r}")
-    if args.scenario not in ("clean", "degraded"):
-        raise _UsageError(f"unknown scenario {args.scenario!r}")
     subjects, samples = {"desk": DESK_PRESET, "full": FULL_PRESET}[args.preset]
     if args.subjects is not None:
         subjects = args.subjects
@@ -304,30 +261,14 @@ def _cmd_simulate(args) -> int:
         regime = clean_cal
 
     dataset = generate_dataset(regime.face, regime.ecg, regime.scenario, data_seed)
-    cfg = _eval_config(args)
-    report = run_experiment(dataset, k=args.folds, seed=args.seed, cfg=cfg)
-
-    if args.dump_scores:
-        dump_dataset_scores(dataset, args.dump_scores)
-    if args.save_model:
-        model = train_fusion_model(dataset.face, dataset.ecg, dataset.labels, cfg)
-        save_fusion_model(model, args.save_model)
-    _emit_report(report, args)
-    return EXIT_OK
+    return _run_and_report(dataset, args)
 
 
 def _cmd_evaluate(args) -> int:
-    _merge_config(args, "evaluate")
     if not args.face or not args.ecg:
         raise _UsageError("evaluate requires --face and --ecg score files")
     dataset = load_paired_dataset(args.face, args.ecg, normalize=not args.no_normalize)
-    cfg = _eval_config(args)
-    report = run_experiment(dataset, k=args.folds, seed=args.seed, cfg=cfg)
-    if args.save_model:
-        model = train_fusion_model(dataset.face, dataset.ecg, dataset.labels, cfg)
-        save_fusion_model(model, args.save_model)
-    _emit_report(report, args)
-    return EXIT_OK
+    return _run_and_report(dataset, args)
 
 
 def _cmd_fuse(args) -> int:
@@ -393,6 +334,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("a subcommand is required (see --help)")
+        if getattr(args, "config", None):
+            # config values become the subcommand's defaults, so explicit flags still win
+            command = parser.commands[args.command]
+            command.set_defaults(**_config_defaults(command, args.command, args.config))
+            args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         sys.stderr.write(f"error: usage: {exc}\n")
@@ -400,10 +346,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         sys.stderr.write(f"error: invalid data: {exc}\n")
         return EXIT_DATA
-    except CalibrationError as exc:
-        sys.stderr.write(f"error: runtime: {exc}\n")
-        return EXIT_RUNTIME
-    except OSError as exc:
+    except (CalibrationError, OSError) as exc:
         sys.stderr.write(f"error: runtime: {exc}\n")
         return EXIT_RUNTIME
     except Exception as exc:  # keep the contract: any failure is one line + code 3

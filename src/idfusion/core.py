@@ -37,20 +37,24 @@ class DegenerateVectorWarning(UserWarning):
     """A constant vector was normalized; the result carries no ranking information."""
 
 
-def as_confidence_vector(values, *, name: str = "confidence vector") -> np.ndarray:
-    """Validate and return a 1-D float64 confidence vector.
+def as_confidence_vector(
+    values, *, name: str = "confidence vector", ndim: int = 1
+) -> np.ndarray:
+    """Validate and return float64 confidence vectors, one per row of the last axis.
 
-    Requires length >= 2, finite entries, and values already inside [0, 1]
-    (ingestion normalization is the caller's job; see ``minmax_normalize``).
+    ``ndim`` is 1 for a single vector and 2 for an N x M matrix of them.
+    Requires at least 2 classes, finite entries, and values already inside
+    [0, 1] (ingestion normalization is the caller's job; see
+    ``minmax_normalize``).
     """
     v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValidationError(f"{name} must be 1-D, got shape {v.shape}")
-    if v.size < 2:
-        raise ValidationError(f"{name} needs at least 2 entries, got {v.size}")
+    if v.ndim != ndim:
+        raise ValidationError(f"{name} must be {ndim}-D, got shape {v.shape}")
+    if v.shape[-1] < 2:
+        raise ValidationError(f"{name} needs at least 2 classes, got {v.shape[-1]}")
     if not np.all(np.isfinite(v)):
         raise ValidationError(f"{name} contains NaN or infinite entries")
-    if v.min() < 0.0 or v.max() > 1.0:
+    if v.size and (v.min() < 0.0 or v.max() > 1.0):
         raise ValidationError(
             f"{name} has values outside [0, 1] (min={v.min()}, max={v.max()}); "
             "normalize before use"
@@ -80,10 +84,10 @@ def as_label_vector(labels, num_classes: int, *, name: str = "labels") -> np.nda
 
 
 def descending_order(values: np.ndarray) -> np.ndarray:
-    """Indices sorting ``values`` in descending order, ties broken by lower index."""
+    """Indices sorting each row (last axis) in descending order, ties to the lower index."""
     # stable sort of the negated values keeps original order among equals,
     # which is exactly the lowest-index-first tie rule
-    return np.argsort(-np.asarray(values, dtype=np.float64), kind="stable")
+    return np.argsort(-np.asarray(values, dtype=np.float64), axis=-1, kind="stable")
 
 
 @dataclass(frozen=True)
@@ -123,38 +127,27 @@ def rank_top_n(values, n: int) -> RankedPrediction:
 
 
 def minmax_normalize(values) -> np.ndarray:
-    """Affinely rescale a raw score vector into [0, 1].
-
-    Constant vectors carry no ranking information; they map to all zeros
-    and emit :class:`DegenerateVectorWarning` rather than failing, so bulk
-    ingestion can proceed while still flagging useless rows.
-    """
+    """Affinely rescale one raw score vector into [0, 1]; see :func:`minmax_normalize_rows`."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1:
         raise ValidationError(f"expected a 1-D vector, got shape {v.shape}")
     if v.size < 2:
         raise ValidationError(f"need at least 2 entries, got {v.size}")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError("cannot normalize a vector with NaN or infinite entries")
-    lo = v.min()
-    hi = v.max()
-    if hi == lo:
-        warnings.warn(
-            "constant vector normalized to all zeros; ranking is meaningless",
-            DegenerateVectorWarning,
-            stacklevel=2,
-        )
-        return np.zeros_like(v)
-    return (v - lo) / (hi - lo)
+    return minmax_normalize_rows(v[None, :])[0]
 
 
 def minmax_normalize_rows(matrix) -> np.ndarray:
-    """Row-wise :func:`minmax_normalize` over a 2-D array of raw scores."""
+    """Affinely rescale each row of a 2-D array of raw scores into [0, 1].
+
+    Constant rows carry no ranking information; they map to all zeros and
+    emit :class:`DegenerateVectorWarning` rather than failing, so bulk
+    ingestion can proceed while still flagging useless rows.
+    """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ValidationError(f"expected a 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValidationError("cannot normalize a matrix with NaN or infinite entries")
+        raise ValidationError("cannot normalize scores with NaN or infinite entries")
     lo = m.min(axis=1, keepdims=True)
     hi = m.max(axis=1, keepdims=True)
     span = hi - lo
@@ -184,17 +177,7 @@ class ConfidenceMatrix:
     modality: str
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValidationError(f"confidence matrix must be 2-D, got shape {v.shape}")
-        if v.shape[1] < 2:
-            raise ValidationError("confidence matrix needs at least 2 classes")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("confidence matrix contains NaN or infinite entries")
-        if v.min() < 0.0 or v.max() > 1.0:
-            raise ValidationError(
-                "confidence matrix has values outside [0, 1]; normalize at ingestion"
-            )
+        v = as_confidence_vector(self.values, name="confidence matrix", ndim=2)
         ids = tuple(str(s) for s in self.sample_ids)
         if len(ids) != v.shape[0]:
             raise ValidationError(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, minmax_normalize
 
 __all__ = [
     "EcgSignal",
@@ -96,10 +96,9 @@ class PeakDetectorConfig:
 def normalize_amplitude(sig: EcgSignal) -> EcgSignal:
     """Min-max rescale the samples into [0, 1]."""
     s = sig.samples
-    lo, hi = s.min(), s.max()
-    if hi == lo:
+    if s.min() == s.max():
         raise DegenerateSignalError("constant signal cannot be amplitude-normalized")
-    return replace(sig, samples=(s - lo) / (hi - lo))
+    return replace(sig, samples=minmax_normalize(s))
 
 
 def zero_mean(sig: EcgSignal) -> EcgSignal:

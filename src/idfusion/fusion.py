@@ -121,12 +121,22 @@ class FusionModel:
 
     def weights(self, modality: str) -> np.ndarray:
         """Elementwise weight vector (0.5 -+ d) for the given modality tag."""
-        d = self.difference.values
-        if modality == self.modality_order[0]:
-            return 0.5 - d
-        if modality == self.modality_order[1]:
-            return 0.5 + d
-        raise ValidationError(f"unknown modality {modality!r}; model has {self.modality_order}")
+        if modality not in self.modality_order:
+            raise ValidationError(f"unknown modality {modality!r}; model has {self.modality_order}")
+        return _weights(self.difference.values)[self.modality_order.index(modality)]
+
+
+def _weights(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-subject weights (0.5 - d, 0.5 + d) of the minus- and plus-side modality."""
+    return 0.5 - d, 0.5 + d
+
+
+def _check_aligned(face_values: np.ndarray, ecg_values: np.ndarray) -> None:
+    """The shape check shared by both batch decision kernels."""
+    if face_values.shape != ecg_values.shape:
+        raise ValidationError(
+            f"modality shapes differ: {face_values.shape} vs {ecg_values.shape}"
+        )
 
 
 def fused_scores(confidences, diff: DifferenceVector, sign: int) -> np.ndarray:
@@ -141,7 +151,7 @@ def fused_scores(confidences, diff: DifferenceVector, sign: int) -> np.ndarray:
     d = diff.values
     if c.shape != d.shape:
         raise ValidationError(f"length mismatch: {c.size} confidences vs {d.size} differences")
-    return c * (0.5 + sign * d)
+    return c * _weights(d)[0 if sign < 0 else 1]
 
 
 def final_score(f_first, f_second) -> np.ndarray:
@@ -155,24 +165,21 @@ def final_score(f_first, f_second) -> np.ndarray:
 
 def predict_fused(c_face, c_ecg, model: FusionModel) -> int:
     """Fused class decision for one sample; ties go to the lower index."""
-    f_face = fused_scores(c_face, model.difference, -1)
-    f_ecg = fused_scores(c_ecg, model.difference, +1)
-    total = final_score(f_face, f_ecg)
-    return int(np.argmax(total))
+    a = as_confidence_vector(c_face)
+    b = as_confidence_vector(c_ecg)
+    return int(predict_fused_batch(a[None, :], b[None, :], model)[0])
 
 
 def predict_fused_batch(face_values: np.ndarray, ecg_values: np.ndarray, model: FusionModel) -> np.ndarray:
     """Row-wise fused decisions over aligned N x M confidence matrices."""
-    if face_values.shape != ecg_values.shape:
-        raise ValidationError(
-            f"modality shapes differ: {face_values.shape} vs {ecg_values.shape}"
-        )
+    _check_aligned(face_values, ecg_values)
     d = model.difference.values
     if face_values.shape[1] != d.size:
         raise ValidationError(
             f"model has {d.size} classes but matrices have {face_values.shape[1]}"
         )
-    total = face_values * (0.5 - d) + ecg_values * (0.5 + d)
+    w_face, w_ecg = _weights(d)
+    total = face_values * w_face + ecg_values * w_ecg
     return np.argmax(total, axis=1)
 
 
@@ -204,17 +211,12 @@ def predict_weighted_sum(c_face, c_ecg, weights: BaselineWeights) -> int:
     """Weighted-sum class decision for one sample; ties go to the lower index."""
     a = as_confidence_vector(c_face)
     b = as_confidence_vector(c_ecg)
-    if a.shape != b.shape:
-        raise ValidationError(f"length mismatch: {a.size} vs {b.size}")
-    return int(np.argmax(weights.w_face * a + weights.w_ecg * b))
+    return int(predict_weighted_sum_batch(a[None, :], b[None, :], weights)[0])
 
 
 def predict_weighted_sum_batch(
     face_values: np.ndarray, ecg_values: np.ndarray, weights: BaselineWeights
 ) -> np.ndarray:
     """Row-wise weighted-sum decisions over aligned N x M confidence matrices."""
-    if face_values.shape != ecg_values.shape:
-        raise ValidationError(
-            f"modality shapes differ: {face_values.shape} vs {ecg_values.shape}"
-        )
+    _check_aligned(face_values, ecg_values)
     return np.argmax(weights.w_face * face_values + weights.w_ecg * ecg_values, axis=1)

@@ -46,7 +46,8 @@ def load_score_matrix(path, normalize: bool = True) -> tuple[ConfidenceMatrix, n
 
     Labels may use any contiguous integer range; they are remapped to
     0-based indices. With ``normalize`` (the default) every row is min-max
-    rescaled; disable it for files that are already in [0, 1].
+    rescaled; disable it for files that are already in [0, 1]. A constant
+    row is rejected in both modes: its argmax would silently be class 0.
     """
     p = Path(path)
     try:
@@ -77,7 +78,7 @@ def load_score_matrix(path, normalize: bool = True) -> tuple[ConfidenceMatrix, n
     ids: list[str] = []
     labels: list[int] = []
     rows: list[list[float]] = []
-    label_lines: list[int] = []
+    row_lines: list[int] = []
     seen: set[str] = set()
     for lineno, ln in lines[1:]:
         parts = [x.strip() for x in ln.split(",")]
@@ -94,7 +95,7 @@ def load_score_matrix(path, normalize: bool = True) -> tuple[ConfidenceMatrix, n
             raise ValidationError(f"{p}:{lineno}: non-numeric field") from exc
         ids.append(sid)
         labels.append(label)
-        label_lines.append(lineno)
+        row_lines.append(lineno)
         rows.append(conf)
     if not rows:
         raise ValidationError(f"{p}: no data rows")
@@ -104,9 +105,12 @@ def load_score_matrix(path, normalize: bool = True) -> tuple[ConfidenceMatrix, n
     bad = np.nonzero(y >= m)[0]
     if bad.size:
         raise ValidationError(
-            f"{p}:{label_lines[bad[0]]}: label out of range for {m} classes"
+            f"{p}:{row_lines[bad[0]]}: label out of range for {m} classes"
         )
     values = np.asarray(rows, dtype=np.float64)
+    flat = np.nonzero(values.max(axis=1) - values.min(axis=1) == 0.0)[0]
+    if flat.size:
+        raise ValidationError(f"{p}:{row_lines[flat[0]]}: constant score row ranks no class")
     if normalize:
         values = minmax_normalize_rows(values)
     return ConfidenceMatrix(values=values, sample_ids=tuple(ids), modality=modality), y

@@ -25,7 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfidenceMatrix, ValidationError, as_confidence_vector, as_label_vector
+from .core import (
+    ConfidenceMatrix,
+    ValidationError,
+    as_confidence_vector,
+    as_label_vector,
+    descending_order,
+)
 
 __all__ = ["ScoringConfig", "conf_diff", "compute_subject_scores"]
 
@@ -65,14 +71,8 @@ def conf_diff(confidences, true_label: int, rank_depth: int = 5) -> float:
         raise ValidationError(f"true_label {true_label} out of range [0, {c.size})")
     if not 1 <= rank_depth <= c.size:
         raise ValidationError(f"rank_depth {rank_depth} out of range [1, {c.size}]")
-    order = np.argsort(-c, kind="stable")
-    rank = int(np.nonzero(order == true_label)[0][0])  # 0-based rank of the true class
-    if rank == 0:
-        return 0.0
-    if rank < rank_depth:
-        gap = float(c[order[0]] - c[true_label])
-        return min(max(gap, 0.0), 1.0)
-    return 1.0
+    gaps, _ = _gaps_and_predictions(c[None, :], np.array([true_label], dtype=np.int64), rank_depth)
+    return float(gaps[0])
 
 
 def _gaps_and_predictions(
@@ -83,14 +83,11 @@ def _gaps_and_predictions(
     The gap of a sample depends only on its own row, so this part can be
     batched; only the score updates below are order-dependent.
     """
-    n, m = values.shape
-    order = np.argsort(-values, axis=1, kind="stable")
-    ranks = np.empty((n, m), dtype=np.int64)
-    rows = np.arange(n)[:, None]
-    ranks[rows, order] = np.arange(m)[None, :]
-    true_rank = ranks[np.arange(n), labels]
+    rows = np.arange(values.shape[0])
+    order = descending_order(values)
+    true_rank = np.argmax(order == labels[:, None], axis=1)
     top = order[:, 0]
-    gap = values[np.arange(n), top] - values[np.arange(n), labels]
+    gap = values[rows, top] - values[rows, labels]
     gap = np.clip(gap, 0.0, 1.0)
     out = np.where(true_rank == 0, 0.0, np.where(true_rank < rank_depth, gap, 1.0))
     return out, top
@@ -108,13 +105,7 @@ def compute_subject_scores(
     if isinstance(confidences, ConfidenceMatrix):
         values = confidences.values
     else:
-        values = np.asarray(confidences, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValidationError(f"expected an N x M matrix, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("confidence matrix contains NaN or infinite entries")
-        if values.size and (values.min() < 0.0 or values.max() > 1.0):
-            raise ValidationError("confidences must be normalized to [0, 1]")
+        values = as_confidence_vector(confidences, name="confidence matrix", ndim=2)
     if values.shape[0] == 0:
         raise ValidationError("cannot score an empty training set")
     n, m = values.shape

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ConfidenceMatrix, PairedDataset, ValidationError, minmax_normalize, minmax_normalize_rows
+from .core import ConfidenceMatrix, PairedDataset, ValidationError, minmax_normalize_rows
 
 __all__ = [
     "GeneratorParams",
@@ -134,22 +134,19 @@ def generate_sample(
     """Draw one normalized confidence vector for a sample of ``true_label``."""
     if not 0 <= true_label < params.num_classes:
         raise ValidationError(f"true_label {true_label} out of range")
-    logits = rng.normal(0.0, params.sigma(degraded), params.num_classes)
-    logits[true_label] += params.true_class_mean
-    return minmax_normalize(logits)
+    return _draw_rows(1, true_label, degraded, params, rng)[0]
 
 
-def _subject_block(
-    subject: int,
+def _draw_rows(
+    n: int,
+    true_label: int,
     degraded: bool,
     params: GeneratorParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """All of one subject's rows in a single draw from its private stream."""
-    logits = rng.normal(
-        0.0, params.sigma(degraded), (params.samples_per_class, params.num_classes)
-    )
-    logits[:, subject] += params.true_class_mean
+    """``n`` normalized rows for ``true_label``; one (n, M) draw reads ``rng`` like n (M,) draws."""
+    logits = rng.normal(0.0, params.sigma(degraded), (n, params.num_classes))
+    logits[:, true_label] += params.true_class_mean
     return minmax_normalize_rows(logits)
 
 
@@ -181,7 +178,8 @@ def generate_dataset(
     ):
         children = ss.spawn(m)
         rows = [
-            _subject_block(
+            _draw_rows(
+                spc,
                 subject,
                 rule.degraded(subject + 1),  # rules speak 1-based subject ids
                 params,

@@ -7,6 +7,7 @@ on fixed master seeds, so this module is slower than the unit suites.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import idfusion
 from idfusion.cli import main as cli_main
 from idfusion.core import minmax_normalize_rows
 from idfusion.ecg import EcgSignal, find_first_r_peak, normalize_amplitude, preprocess, zero_mean
@@ -314,12 +316,16 @@ def test_criterion_9_cross_validation_integrity(tmp_path):
 @pytest.mark.slow
 def test_criterion_10_cli_end_to_end(tmp_path):
     # desk-preset simulate through the real interpreter entry point
+    # the child runs the package this suite imported, even without PYTHONPATH
+    src = str(Path(idfusion.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "idfusion.cli", "simulate", "--preset", "desk", "--seed", "7"],
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     desk_elapsed = time.perf_counter() - start
     ok = proc.returncode == 0 and "avg" in proc.stdout and desk_elapsed < 10.0

@@ -77,12 +77,26 @@ class TestSimulate:
                        "--seed", "10") == EXIT_OK
         assert load_report(out1).config.seed == 9
         assert load_report(out2).config.seed == 10
+        # a later call without --config must not inherit the file's values
+        out3 = tmp_path / "c.json"
+        assert run_cli("simulate", "--subjects", "8", "--samples", "6", "--trials", "20000",
+                       "--folds", "3", "--out", str(out3), "--format", "structured") == EXIT_OK
+        assert load_report(out3).config.seed == 0
 
-    def test_unknown_config_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("faces = a.csv", "unknown config key"),
+            ("format = jsn", "config key 'format': invalid choice"),
+            ("preset = huge", "config key 'preset': invalid choice"),
+        ],
+        ids=["unknown-key", "format-not-a-choice", "preset-not-a-choice"],
+    )
+    def test_unknown_config_key(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("faces = a.csv\n")
+        cfg.write_text(line + "\n")
         assert run_cli("simulate", "--config", str(cfg)) == EXIT_USAGE
-        assert "unknown config key" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -18,6 +18,7 @@ from idfusion.fusion import (
     predict_fused,
     predict_fused_batch,
     predict_weighted_sum,
+    predict_weighted_sum_batch,
 )
 
 unit_vec = st.lists(
@@ -148,6 +149,10 @@ class TestPredictFused:
         ecg = rng.random((40, 7))
         batch = predict_fused_batch(face, ecg, model)
         singles = [predict_fused(face[i], ecg[i], model) for i in range(40)]
+        np.testing.assert_array_equal(batch, singles)
+        weights = BaselineWeights(w_face=0.3, w_ecg=0.7)
+        batch = predict_weighted_sum_batch(face, ecg, weights)
+        singles = [predict_weighted_sum(face[i], ecg[i], weights) for i in range(40)]
         np.testing.assert_array_equal(batch, singles)
 
     @given(unit_vec, unit_vec)

@@ -74,6 +74,16 @@ class TestScoreFiles:
         with pytest.raises(ValidationError, match="bad.csv:3"):
             load_score_matrix(path)
 
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_constant_row_names_line(self, tmp_path, normalize):
+        # a constant row's argmax would silently be class 0
+        path = _write(
+            tmp_path / "flat.csv",
+            ["sample_id,true_label,face_0,face_1", "a,0,0.9,0.1", "b,1,0.5,0.5"],
+        )
+        with pytest.raises(ValidationError, match="flat.csv:3"):
+            load_score_matrix(path, normalize=normalize)
+
     def test_duplicate_sample_id(self, tmp_path):
         path = _write(
             tmp_path / "dup.csv",

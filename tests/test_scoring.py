@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from idfusion.core import ValidationError
 from idfusion.scoring import ScoringConfig, compute_subject_scores, conf_diff
-from reference import subject_scores_reference
+from reference import rank_indices_reference, subject_scores_reference
 
 
 class TestConfDiff:
@@ -45,8 +45,18 @@ class TestConfDiff:
     def test_result_always_in_unit_interval(self, values):
         c = np.asarray(values)
         depth = min(5, c.size)
+        order = rank_indices_reference(values, c.size)
         for label in range(c.size):
-            assert 0.0 <= conf_diff(c, label, depth) <= 1.0
+            gap = conf_diff(c, label, depth)
+            assert 0.0 <= gap <= 1.0
+            rank = order.index(label)
+            if rank == 0:
+                expected = 0.0
+            elif rank < depth:
+                expected = c[order[0]] - c[label]
+            else:
+                expected = 1.0
+            assert gap == expected
 
 
 def _cfg(spc, depth=5):

@@ -1,5 +1,7 @@
 """Score generator: determinism, degradation rules, and calibration."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,10 @@ class TestGenerateSample:
         a = generate_sample(2, True, params, np.random.default_rng(42))
         b = generate_sample(2, True, params, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
+        # golden digest: the draw must not change when the sampling code is refactored
+        assert hashlib.sha256(a.tobytes()).hexdigest() == (
+            "66d6dec7fbb800493d45dd5b90cda284cbc93cd8c92e3b7b7842ab91aeadd471"
+        )
 
     def test_output_is_normalized(self):
         params = _params()
