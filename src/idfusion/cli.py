@@ -100,7 +100,6 @@ def _add_run_flags(p: _Parser) -> None:
     p.add_argument("--folds", type=int, default=run["k"])
     p.add_argument("--bound", type=float, default=EvalConfig.bound)
     p.add_argument("--rank-depth", type=int, default=EvalConfig.rank_depth)
-    p.add_argument("--threads", type=int, default=EvalConfig.threads)
     p.add_argument("--out", help="report path (default: print to stdout)")
     p.add_argument("--format", choices=["text", "structured"], default="text")
 
@@ -158,8 +157,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("calibrate", help="fit a noise sigma to a target accuracy")
     p.add_argument("--target", type=float, required=True)
     p.add_argument("--classes", type=int, default=FULL_PRESET[0])
-    p.add_argument("--samples", type=int, default=FULL_PRESET[1],
-                   help="samples per subject (echoed in params)")
     p.add_argument("--mean", type=float, default=GeneratorParams.true_class_mean,
                    help="true-class logit offset")
     p.add_argument("--trials", type=int, default=cal["trials"])
@@ -203,12 +200,7 @@ def _config_defaults(command: _Parser, name: str, path) -> dict:
 
 def _run_and_report(dataset, args) -> int:
     """The k-fold experiment, its exports and its report: shared by simulate and evaluate."""
-    cfg = EvalConfig(
-        bound=args.bound,
-        rank_depth=args.rank_depth,
-        scenario=args.scenario,
-        threads=args.threads,
-    )
+    cfg = EvalConfig(bound=args.bound, rank_depth=args.rank_depth, scenario=args.scenario)
     report = run_experiment(dataset, k=args.folds, seed=args.seed, cfg=cfg)
     if getattr(args, "dump_scores", None):  # simulate only
         dump_dataset_scores(dataset, args.dump_scores)
@@ -292,7 +284,7 @@ def _cmd_prep_ecg(args) -> int:
 def _cmd_calibrate(args) -> int:
     template = GeneratorParams(
         num_classes=args.classes,
-        samples_per_class=args.samples,
+        samples_per_class=1,  # calibration never reads the sample count
         true_class_mean=args.mean,
     )
     result = calibrate(

@@ -186,30 +186,40 @@ def read_signal(path, sample_rate: float | None = None) -> EcgSignal:
         lines = [ln.strip() for ln in p.read_text().splitlines()]
     except OSError as exc:
         raise ValidationError(f"cannot read signal file {p}: {exc}") from exc
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
+    data = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not data:
         raise ValidationError(f"signal file {p} is empty")
+
+    def where(k: int) -> str:
+        """``path:line`` of data line k, counting the comment and blank lines skipped."""
+        numbers = [n for n, ln in enumerate(lines, start=1) if ln and not ln.startswith("#")]
+        return f"{p}:{numbers[k]}"
+
     if p.suffix.lower() == ".csv":
         times, values = [], []
-        for lineno, ln in enumerate(lines, start=1):
+        for k, ln in enumerate(data):
             parts = [x.strip() for x in ln.split(",")]
             if len(parts) != 2:
-                raise ValidationError(f"{p}:{lineno}: expected 'time,value', got {ln!r}")
+                raise ValidationError(f"{where(k)}: expected 'time,value', got {ln!r}")
             try:
                 times.append(float(parts[0]))
                 values.append(float(parts[1]))
             except ValueError as exc:
-                raise ValidationError(f"{p}:{lineno}: non-numeric field") from exc
+                raise ValidationError(f"{where(k)}: non-numeric field") from exc
         if sample_rate is None:
             dt = np.diff(np.asarray(times))
-            if dt.size == 0 or np.any(dt <= 0):
-                raise ValidationError(f"{p}: time column must be strictly increasing")
+            back = np.nonzero(dt <= 0)[0]
+            if dt.size == 0 or back.size:
+                at = where(int(back[0]) + 1) if back.size else str(p)
+                raise ValidationError(f"{at}: time column must be strictly increasing")
             sample_rate = float(1.0 / np.median(dt))
         return EcgSignal(samples=np.asarray(values), sample_rate=sample_rate)
+    values = []
     try:
-        values = [float(ln) for ln in lines]
+        for ln in data:
+            values.append(float(ln))
     except ValueError as exc:
-        raise ValidationError(f"{p}: non-numeric line in signal file") from exc
+        raise ValidationError(f"{where(len(values))}: non-numeric line in signal file") from exc
     return EcgSignal(
         samples=np.asarray(values),
         sample_rate=DEFAULT_SAMPLE_RATE if sample_rate is None else sample_rate,

@@ -10,7 +10,6 @@ the weighted-sum baseline.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,7 @@ from .fusion import (
     predict_fused_batch,
     predict_weighted_sum_batch,
 )
-from .scoring import ScoringConfig, compute_subject_scores
+from .scoring import ScoringConfig, _clamped_scores, _gaps_and_predictions, _training_set
 
 __all__ = [
     "FoldAssignment",
@@ -104,7 +103,6 @@ class EvalConfig:
     rank_depth: int = 5
     clamp_floor: float = 0.0
     scenario: str = "unspecified"
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -180,6 +178,60 @@ def accuracy(predictions, labels) -> float:
     return float(np.mean(p == y))
 
 
+def _ranked(face: ConfidenceMatrix, ecg: ConfidenceMatrix, labels, cfg: EvalConfig) -> list:
+    """Each sample's confidence gap and top prediction per modality; no fold changes them."""
+    checked = (_training_set(data, labels, cfg.rank_depth) for data in (face, ecg))
+    return [_gaps_and_predictions(values, y, cfg.rank_depth) for values, y in checked]
+
+
+def _fit(face, ecg, y_train, ranks_train, cfg: EvalConfig) -> FusionModel:
+    """Subject scores -> difference vector, from the training rows' gaps and top predictions."""
+    scoring_cfg = ScoringConfig(
+        samples_per_class=y_train.size / face.num_classes,
+        rank_depth=cfg.rank_depth,
+        clamp_floor=cfg.clamp_floor,
+    )
+    s_face = _clamped_scores(*ranks_train[0], y_train, face.num_classes, scoring_cfg)
+    s_ecg = _clamped_scores(*ranks_train[1], y_train, ecg.num_classes, scoring_cfg)
+    raw = difference_vector(s_ecg, s_face)
+    return FusionModel(
+        difference=normalize_difference(raw, bound=cfg.bound),
+        modality_order=(face.modality, ecg.modality),
+    )
+
+
+def _fold(face, ecg, y, ranks, assignment, fold_id: int, cfg: EvalConfig) -> FoldResult:
+    """One fold from the experiment-wide ranks; its training rows keep the order the clamp needs."""
+    train_idx = assignment.train_indices(fold_id)
+    test_idx = assignment.test_indices(fold_id)
+    if train_idx.size == 0 or test_idx.size == 0:
+        raise ValidationError(f"fold {fold_id} has an empty train or test portion")
+    (_, face_top), (_, ecg_top) = ranks
+
+    y_train = y[train_idx]
+    ranks_train = [(gaps[train_idx], top[train_idx]) for gaps, top in ranks]
+    model = _fit(face, ecg, y_train, ranks_train, cfg)
+    weights = compute_baseline_weights(
+        accuracy(face_top[train_idx], y_train), accuracy(ecg_top[train_idx], y_train)
+    )
+
+    face_test = face.values[test_idx]
+    ecg_test = ecg.values[test_idx]
+    y_test = y[test_idx]
+
+    pred_fused = predict_fused_batch(face_test, ecg_test, model)
+    return FoldResult(
+        fold_id=fold_id,
+        acc_face=accuracy(face_top[test_idx], y_test),
+        acc_ecg=accuracy(ecg_top[test_idx], y_test),
+        acc_fused=accuracy(pred_fused, y_test),
+        acc_weighted_sum=accuracy(
+            predict_weighted_sum_batch(face_test, ecg_test, weights), y_test
+        ),
+        error_count_fused=int(np.sum(pred_fused != y_test)),
+    )
+
+
 def train_fusion_model(
     face: ConfidenceMatrix,
     ecg: ConfidenceMatrix,
@@ -188,18 +240,7 @@ def train_fusion_model(
 ) -> FusionModel:
     """Fit the fusion rule (subject scores -> difference vector) on a training set."""
     y = as_label_vector(labels, face.num_classes)
-    scoring_cfg = ScoringConfig(
-        samples_per_class=y.size / face.num_classes,
-        rank_depth=cfg.rank_depth,
-        clamp_floor=cfg.clamp_floor,
-    )
-    s_face = compute_subject_scores(face, y, scoring_cfg)
-    s_ecg = compute_subject_scores(ecg, y, scoring_cfg)
-    raw = difference_vector(s_ecg, s_face)
-    return FusionModel(
-        difference=normalize_difference(raw, bound=cfg.bound),
-        modality_order=(face.modality, ecg.modality),
-    )
+    return _fit(face, ecg, y, _ranked(face, ecg, y, cfg), cfg)
 
 
 def evaluate_fold(
@@ -214,39 +255,8 @@ def evaluate_fold(
     y = as_label_vector(labels, data_face.num_classes)
     if y.size != assignment.fold_of_sample.size:
         raise ValidationError("fold assignment does not match the dataset size")
-    train_idx = assignment.train_indices(fold_id)
-    test_idx = assignment.test_indices(fold_id)
-    if train_idx.size == 0 or test_idx.size == 0:
-        raise ValidationError(f"fold {fold_id} has an empty train or test portion")
-
-    face_train = data_face.values[train_idx]
-    ecg_train = data_ecg.values[train_idx]
-    y_train = y[train_idx]
-
-    model = train_fusion_model(
-        data_face.take(train_idx), data_ecg.take(train_idx), y_train, cfg
-    )
-
-    train_acc_face = accuracy(np.argmax(face_train, axis=1), y_train)
-    train_acc_ecg = accuracy(np.argmax(ecg_train, axis=1), y_train)
-    weights = compute_baseline_weights(train_acc_face, train_acc_ecg)
-
-    face_test = data_face.values[test_idx]
-    ecg_test = data_ecg.values[test_idx]
-    y_test = y[test_idx]
-
-    pred_fused = predict_fused_batch(face_test, ecg_test, model)
-    acc_fused = accuracy(pred_fused, y_test)
-    return FoldResult(
-        fold_id=fold_id,
-        acc_face=accuracy(np.argmax(face_test, axis=1), y_test),
-        acc_ecg=accuracy(np.argmax(ecg_test, axis=1), y_test),
-        acc_fused=acc_fused,
-        acc_weighted_sum=accuracy(
-            predict_weighted_sum_batch(face_test, ecg_test, weights), y_test
-        ),
-        error_count_fused=int(np.sum(pred_fused != y_test)),
-    )
+    ranks = _ranked(data_face, data_ecg, y, cfg)
+    return _fold(data_face, data_ecg, y, ranks, assignment, fold_id, cfg)
 
 
 def run_experiment(
@@ -257,21 +267,13 @@ def run_experiment(
 ) -> ExperimentReport:
     """Full k-fold experiment over a paired dataset.
 
-    Folds are independent; with ``cfg.threads > 1`` they are evaluated
-    concurrently, and results are assembled in fold order either way.
+    Every sample is ranked once per modality; each fold then only runs the
+    order-dependent clamp on its training rows and scores its test rows.
     """
     assignment = make_folds(dataset.labels, k=k, seed=seed)
-
-    def one(fold_id: int) -> FoldResult:
-        return evaluate_fold(
-            dataset.face, dataset.ecg, dataset.labels, assignment, fold_id, cfg
-        )
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            folds = tuple(pool.map(one, range(k)))
-    else:
-        folds = tuple(one(fold_id) for fold_id in range(k))
+    face, ecg, y = dataset.face, dataset.ecg, dataset.labels
+    ranks = _ranked(face, ecg, y, cfg)
+    folds = tuple(_fold(face, ecg, y, ranks, assignment, fold_id, cfg) for fold_id in range(k))
 
     config = RunConfig(
         seed=seed,

@@ -80,8 +80,8 @@ def _gaps_and_predictions(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized per-sample confidence gaps and top predictions.
 
-    The gap of a sample depends only on its own row, so this part can be
-    batched; only the score updates below are order-dependent.
+    The gap of a sample depends only on its own row, so a k-fold experiment
+    computes it once for all folds; only :func:`_clamped_scores` depends on order.
     """
     rows = np.arange(values.shape[0])
     order = descending_order(values)
@@ -93,15 +93,8 @@ def _gaps_and_predictions(
     return out, top
 
 
-def compute_subject_scores(
-    confidences, labels, cfg: ScoringConfig
-) -> np.ndarray:
-    """Run the award/punish scoring loop over a training set.
-
-    ``confidences`` may be a :class:`ConfidenceMatrix` or a plain N x M
-    array with values in [0, 1]; ``labels`` gives the true class per row.
-    Returns the length-M subject score vector.
-    """
+def _training_set(confidences, labels, rank_depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validated N x M confidences and length-N int64 labels for subject scoring."""
     if isinstance(confidences, ConfidenceMatrix):
         values = confidences.values
     else:
@@ -112,28 +105,42 @@ def compute_subject_scores(
     y = as_label_vector(labels, m)
     if y.size != n:
         raise ValidationError(f"{y.size} labels for {n} samples")
-    if cfg.rank_depth > m:
-        raise ValidationError(f"rank_depth {cfg.rank_depth} exceeds class count {m}")
+    if rank_depth > m:
+        raise ValidationError(f"rank_depth {rank_depth} exceeds class count {m}")
+    return values, y
 
-    counts = np.bincount(y, minlength=m)
+
+def _clamped_scores(gaps, top, labels, num_classes: int, cfg: ScoringConfig) -> np.ndarray:
+    """The order-dependent half of scoring: award, punish and clamp the rows in turn."""
+    counts = np.bincount(labels, minlength=num_classes)
     if counts.min() != counts.max():
         warnings.warn(
             "unbalanced class counts: the samples_per_class normalizer is approximate",
             UserWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
 
-    gaps, top = _gaps_and_predictions(values, y, cfg.rank_depth)
-
-    scores = [0.0] * m
+    scores = [0.0] * num_classes
     floor = cfg.clamp_floor
     # Input order is part of the contract: the clamp couples consecutive
     # updates to the same subject, so this loop must not be reordered.
-    for i in range(n):
+    for i in range(labels.size):
         d = float(gaps[i])
-        scores[y[i]] += 1.0 - d
+        scores[labels[i]] += 1.0 - d
         p = top[i]
         scores[p] -= d
         if scores[p] < floor:
             scores[p] = floor
     return np.asarray(scores, dtype=np.float64) / cfg.samples_per_class
+
+
+def compute_subject_scores(confidences, labels, cfg: ScoringConfig) -> np.ndarray:
+    """Run the award/punish scoring loop over a training set.
+
+    ``confidences`` may be a :class:`ConfidenceMatrix` or a plain N x M
+    array with values in [0, 1]; ``labels`` gives the true class per row.
+    Returns the length-M subject score vector.
+    """
+    values, y = _training_set(confidences, labels, cfg.rank_depth)
+    gaps, top = _gaps_and_predictions(values, y, cfg.rank_depth)
+    return _clamped_scores(gaps, top, y, values.shape[1], cfg)

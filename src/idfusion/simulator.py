@@ -237,6 +237,9 @@ def calibrate(
         raise ValidationError("slot must be 'clean' or 'degraded'")
     if trials < 1000:
         raise ValidationError("need at least 1000 trials for a usable estimate")
+    lo, hi = sigma_range
+    if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 < lo < hi):
+        raise ValidationError(f"sigma_range must be finite with 0 < lo < hi, got {sigma_range}")
 
     mu = params_template.true_class_mean
     m = params_template.num_classes
@@ -249,7 +252,6 @@ def calibrate(
     def acc(sigma: float) -> float:
         return float(np.searchsorted(margin, mu / sigma, side="left") / trials)
 
-    lo, hi = sigma_range
     acc_lo, acc_hi = acc(lo), acc(hi)
     if acc_lo - acc_hi < 0.02:
         raise CalibrationError(

@@ -218,6 +218,14 @@ class TestCalibrateCommand:
         assert code == EXIT_RUNTIME
         assert capsys.readouterr().err.startswith("error: runtime:")
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [["--sigma-min", "0"], ["--sigma-min", "5", "--sigma-max", "1"], ["--sigma-min", "-1"]],
+    )
+    def test_invalid_sigma_range_is_data_error(self, bounds, capsys):
+        assert run_cli("calibrate", "--target", "0.9", *bounds) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: invalid data: sigma_range")
+
 
 class TestUsageAndExitCodes:
     def test_no_subcommand(self, capsys):

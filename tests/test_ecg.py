@@ -180,13 +180,20 @@ class TestSignalFiles:
             read_signal(tmp_path / "absent.txt")
 
     def test_malformed_csv_row(self, tmp_path):
+        # the comment and the blank line count: errors name the line in the file
         path = tmp_path / "bad.csv"
-        path.write_text("0.0,1.0\n0.1\n")
-        with pytest.raises(ValidationError, match="bad.csv:2"):
+        path.write_text("# rec\n\n0.0,1.0\n0.1\n0.2,oops\n")
+        with pytest.raises(ValidationError, match="bad.csv:4: expected"):
+            read_signal(path)
+        path.write_text("# rec\n\n0.0,1.0\n0.002,oops\n")
+        with pytest.raises(ValidationError, match="bad.csv:4: non-numeric"):
+            read_signal(path)
+        path.write_text("# rec\n\n0.0,1.0\n0.002,1.5\n# gap\n0.002,2.0\n")
+        with pytest.raises(ValidationError, match="bad.csv:6: time column"):
             read_signal(path)
 
     def test_non_numeric_text(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("0.5\nhello\n")
-        with pytest.raises(ValidationError):
+        path.write_text("# rec\n\n0.5\nhello\n")
+        with pytest.raises(ValidationError, match="bad.txt:4: non-numeric"):
             read_signal(path)

@@ -7,11 +7,21 @@ from idfusion.core import ConfidenceMatrix, PairedDataset, ValidationError
 from idfusion.evaluation import (
     EvalConfig,
     ExperimentReport,
+    FoldResult,
     accuracy,
     evaluate_fold,
     make_folds,
     run_experiment,
+    train_fusion_model,
 )
+from idfusion.fusion import (
+    compute_baseline_weights,
+    difference_vector,
+    normalize_difference,
+    predict_fused_batch,
+    predict_weighted_sum_batch,
+)
+from idfusion.scoring import ScoringConfig, compute_subject_scores
 from idfusion.simulator import (
     DegradationScenario,
     GeneratorParams,
@@ -137,9 +147,6 @@ class TestRunExperiment:
             sizes * np.array([f.acc_fused for f in report.folds])
         ) / sizes.sum()
         # recompute the pooled value directly from per-sample predictions
-        from idfusion.evaluation import train_fusion_model
-        from idfusion.fusion import predict_fused_batch
-
         correct = 0
         for fold in range(k):
             tr, te = fa.train_indices(fold), fa.test_indices(fold)
@@ -162,11 +169,59 @@ class TestRunExperiment:
         b = run_experiment(ds, k=5, seed=7)
         assert a == b
 
-    def test_threads_do_not_change_results(self):
-        ds = _desk_dataset(5)
-        serial = run_experiment(ds, k=5, seed=7, cfg=EvalConfig(threads=1))
-        parallel = run_experiment(ds, k=5, seed=7, cfg=EvalConfig(threads=4))
-        assert serial == parallel
+    @pytest.mark.filterwarnings("ignore:unbalanced")
+    def test_folds_match_recomputation_from_copied_subsets(self):
+        # unbalanced classes, tied scores within rows and a non-zero clamp floor:
+        # each fold must equal a fit on its copied training rows, in their order
+        rng = np.random.default_rng(1)  # a draw where floor and depth change the folds
+        counts = [9, 5, 13, 6, 11, 7]
+        labels = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+        ids = tuple(f"s{i}" for i in range(labels.size))
+
+        def tied_scores(hit):
+            values = rng.integers(0, 5, size=(labels.size, len(counts))) / 4.0
+            boost = rng.random(labels.size) < hit
+            values[boost, labels[boost]] = 1.0
+            return values
+
+        ds = PairedDataset(
+            ConfidenceMatrix(tied_scores(0.6), ids, "face"),
+            ConfidenceMatrix(tied_scores(0.4), ids, "ecg"),
+            labels,
+        )
+        cfg = EvalConfig(clamp_floor=0.05, rank_depth=3)
+        k, seed = 4, 3
+        fa = make_folds(ds.labels, k=k, seed=seed)
+        report = run_experiment(ds, k=k, seed=seed, cfg=cfg)
+        for fold in range(k):
+            tr, te = fa.train_indices(fold), fa.test_indices(fold)
+            face_tr, ecg_tr, y_tr = ds.face.take(tr), ds.ecg.take(tr), ds.labels[tr]
+            model = train_fusion_model(face_tr, ecg_tr, y_tr, cfg)
+            # the fit itself matches compute_subject_scores, which is checked against the reference
+            scoring = ScoringConfig(y_tr.size / ds.num_classes, rank_depth=3, clamp_floor=0.05)
+            raw = difference_vector(
+                compute_subject_scores(ecg_tr, y_tr, scoring),
+                compute_subject_scores(face_tr, y_tr, scoring),
+            )
+            np.testing.assert_array_equal(
+                model.difference.values, normalize_difference(raw, bound=cfg.bound).values
+            )
+            weights = compute_baseline_weights(
+                accuracy(np.argmax(face_tr.values, axis=1), y_tr),
+                accuracy(np.argmax(ecg_tr.values, axis=1), y_tr),
+            )
+            face_te, ecg_te, y_te = ds.face.values[te], ds.ecg.values[te], ds.labels[te]
+            fused = predict_fused_batch(face_te, ecg_te, model)
+            assert report.folds[fold] == FoldResult(
+                fold_id=fold,
+                acc_face=accuracy(np.argmax(face_te, axis=1), y_te),
+                acc_ecg=accuracy(np.argmax(ecg_te, axis=1), y_te),
+                acc_fused=accuracy(fused, y_te),
+                acc_weighted_sum=accuracy(
+                    predict_weighted_sum_batch(face_te, ecg_te, weights), y_te
+                ),
+                error_count_fused=int(np.sum(fused != y_te)),
+            )
 
     def test_config_echo(self):
         ds = _desk_dataset(6)

@@ -162,6 +162,14 @@ class TestCalibrate:
         with pytest.raises(CalibrationError, match="bracket"):
             calibrate(0.999, _params(m=10), trials=20_000, seed=1, sigma_range=(1.0, 2.0))
 
+    @pytest.mark.parametrize(
+        "sigma_range",
+        [(0.0, 1.0), (-1.0, 1e4), (5.0, 1.0), (1.0, 1.0), (1e-4, np.inf), (np.nan, 1.0)],
+    )
+    def test_invalid_sigma_range_rejected(self, sigma_range):
+        with pytest.raises(ValidationError, match="sigma_range"):
+            calibrate(0.9, _params(m=10), trials=20_000, seed=1, sigma_range=sigma_range)
+
     def test_degraded_slot_keeps_sigma_ordering(self):
         clean_cal = calibrate(0.96, _params(m=30), trials=50_000, seed=2)
         deg_cal = calibrate(
