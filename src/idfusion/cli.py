@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -26,13 +26,12 @@ from .evaluation import EvalConfig, run_experiment, train_fusion_model
 from .fusion import predict_fused
 from .io import (
     dump_dataset_scores,
+    format_report,
+    json_text,
     load_fusion_model,
     load_paired_dataset,
     parse_config_file,
-    render_report_text,
-    report_to_dict,
     save_fusion_model,
-    write_report,
 )
 from .simulator import (
     DEFAULT_CLEAN_TARGETS,
@@ -198,6 +197,14 @@ def _config_defaults(command: _Parser, name: str, path) -> dict:
     return out
 
 
+def _emit(text: str, out) -> None:
+    """A command's result goes to the ``--out`` file if one is given, else to stdout."""
+    if out:
+        Path(out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _run_and_report(dataset, args) -> int:
     """The k-fold experiment, its exports and its report: shared by simulate and evaluate."""
     cfg = EvalConfig(bound=args.bound, rank_depth=args.rank_depth, scenario=args.scenario)
@@ -207,12 +214,7 @@ def _run_and_report(dataset, args) -> int:
     if args.save_model:
         model = train_fusion_model(dataset.face, dataset.ecg, dataset.labels, cfg)
         save_fusion_model(model, args.save_model)
-    if args.out:
-        write_report(report, args.out, fmt=args.format)
-    elif args.format == "structured":
-        sys.stdout.write(json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(render_report_text(report))
+    _emit(format_report(report, args.format), args.out)
     return EXIT_OK
 
 
@@ -302,12 +304,7 @@ def _cmd_calibrate(args) -> int:
         "num_classes": args.classes,
         "true_class_mean": args.mean,
     }
-    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(json_text(doc), args.out)
     return EXIT_OK
 
 

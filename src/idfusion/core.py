@@ -4,13 +4,16 @@ Everything downstream (subject scoring, fusion, evaluation) works on
 per-sample confidence vectors: one float per enrolled subject, rescaled
 into [0, 1] at ingestion so that scores from different models are
 commensurate. This module owns that contract plus the deterministic
-ranking used everywhere a "top n predictions" notion appears.
+ranking used everywhere a "top n predictions" notion appears, and the
+line reader every text input format is parsed from.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +29,7 @@ __all__ = [
     "minmax_normalize",
     "minmax_normalize_rows",
     "descending_order",
+    "read_lines",
 ]
 
 
@@ -35,6 +39,27 @@ class ValidationError(ValueError):
 
 class DegenerateVectorWarning(UserWarning):
     """A constant vector was normalized; the result carries no ranking information."""
+
+
+def read_lines(path, what: str, comment: str | None = "#") -> tuple[list[str], Callable[[int], str]]:
+    """The stripped data lines of a text file, and ``where(k)``: ``path:line`` of data line ``k``.
+
+    Blank lines are skipped, and so are lines starting with ``comment`` (``None``: no comments).
+    ``where`` counts the skipped lines by rescanning, so call it only to report an error.
+    An unreadable file raises :class:`ValidationError` "cannot read <what> <path>: ...".
+    """
+    p = Path(path)
+    try:
+        lines = [ln.strip() for ln in p.read_text().splitlines()]
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {p}: {exc}") from exc
+    data = [ln for ln in lines if ln and ln[0] != comment]
+
+    def where(k: int) -> str:
+        numbers = [n for n, ln in enumerate(lines, start=1) if ln and ln[0] != comment]
+        return f"{p}:{numbers[k]}"
+
+    return data, where
 
 
 def as_confidence_vector(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ValidationError, minmax_normalize
+from .core import ValidationError, minmax_normalize, read_lines
 
 __all__ = [
     "EcgSignal",
@@ -182,19 +182,9 @@ def read_signal(path, sample_rate: float | None = None) -> EcgSignal:
     explicitly; plain text has no timing, so the default rate applies.
     """
     p = Path(path)
-    try:
-        lines = [ln.strip() for ln in p.read_text().splitlines()]
-    except OSError as exc:
-        raise ValidationError(f"cannot read signal file {p}: {exc}") from exc
-    data = [ln for ln in lines if ln and not ln.startswith("#")]
+    data, where = read_lines(p, "signal file")
     if not data:
         raise ValidationError(f"signal file {p} is empty")
-
-    def where(k: int) -> str:
-        """``path:line`` of data line k, counting the comment and blank lines skipped."""
-        numbers = [n for n, ln in enumerate(lines, start=1) if ln and not ln.startswith("#")]
-        return f"{p}:{numbers[k]}"
-
     if p.suffix.lower() == ".csv":
         times, values = [], []
         for k, ln in enumerate(data):

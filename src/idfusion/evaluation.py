@@ -16,6 +16,7 @@ import numpy as np
 
 from .core import ConfidenceMatrix, PairedDataset, ValidationError, as_label_vector
 from .fusion import (
+    DEFAULT_BOUND,
     FusionModel,
     compute_baseline_weights,
     difference_vector,
@@ -99,9 +100,9 @@ def make_folds(labels, k: int, seed: int) -> FoldAssignment:
 class EvalConfig:
     """Experiment-level settings shared across folds."""
 
-    bound: float = 0.20
-    rank_depth: int = 5
-    clamp_floor: float = 0.0
+    bound: float = DEFAULT_BOUND
+    rank_depth: int = ScoringConfig.rank_depth
+    clamp_floor: float = ScoringConfig.clamp_floor
     scenario: str = "unspecified"
 
 

@@ -15,14 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfidenceMatrix, PairedDataset, ValidationError, minmax_normalize_rows
-from .evaluation import (
-    ExperimentReport,
-    FoldResult,
-    MeanStd,
-    ReportSummary,
-    RunConfig,
-)
+from .core import ConfidenceMatrix, PairedDataset, ValidationError, minmax_normalize_rows, read_lines
+from .evaluation import ExperimentReport
 from .fusion import DifferenceVector, FusionModel
 
 __all__ = [
@@ -32,9 +26,9 @@ __all__ = [
     "dump_dataset_scores",
     "render_report_text",
     "report_to_dict",
-    "report_from_dict",
+    "format_report",
     "write_report",
-    "load_report",
+    "json_text",
     "save_fusion_model",
     "load_fusion_model",
     "parse_config_file",
@@ -44,73 +38,65 @@ __all__ = [
 def load_score_matrix(path, normalize: bool = True) -> tuple[ConfidenceMatrix, np.ndarray]:
     """Parse one modality's score CSV into a matrix and its label vector.
 
-    Labels may use any contiguous integer range; they are remapped to
-    0-based indices. With ``normalize`` (the default) every row is min-max
-    rescaled; disable it for files that are already in [0, 1]. A constant
-    row is rejected in both modes: its argmax would silently be class 0.
+    Labels are 0-based or start at another base ``b``; the base must be the
+    only ``b >= 0`` that puts every label in ``[b, b + M)``, and labels are
+    remapped to 0-based indices. With ``normalize`` (the default) every row
+    is min-max rescaled; disable it for files that are already in [0, 1].
+    A constant row is rejected in both modes: its argmax would silently be
+    class 0. A sample id may start with ``#``: score files have no comments.
     """
     p = Path(path)
-    try:
-        raw_lines = p.read_text().splitlines()
-    except OSError as exc:
-        raise ValidationError(f"cannot read score file {p}: {exc}") from exc
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw_lines) if ln.strip()]
+    lines, where = read_lines(p, "score file", comment=None)
     if not lines:
         raise ValidationError(f"{p}: empty score file")
 
-    header_no, header = lines[0]
-    cols = [c.strip() for c in header.split(",")]
+    cols = [c.strip() for c in lines[0].split(",")]
     if len(cols) < 4 or cols[0] != "sample_id" or cols[1] != "true_label":
-        raise ValidationError(
-            f"{p}:{header_no}: header must be 'sample_id,true_label,<modality>_0,...'"
-        )
+        raise ValidationError(f"{where(0)}: header must be 'sample_id,true_label,<modality>_0,...'")
     conf_cols = cols[2:]
+    m = len(conf_cols)
     modality, _, first_idx = conf_cols[0].rpartition("_")
     if not modality or first_idx != "0":
-        raise ValidationError(f"{p}:{header_no}: first confidence column must be '<modality>_0'")
-    expected = [f"{modality}_{j}" for j in range(len(conf_cols))]
-    if conf_cols != expected:
-        raise ValidationError(
-            f"{p}:{header_no}: confidence columns must be {modality}_0..{modality}_{len(conf_cols) - 1}"
-        )
-    m = len(conf_cols)
+        raise ValidationError(f"{where(0)}: first confidence column must be '<modality>_0'")
+    if conf_cols != [f"{modality}_{j}" for j in range(m)]:
+        raise ValidationError(f"{where(0)}: confidence columns must be {modality}_0..{modality}_{m - 1}")
 
-    ids: list[str] = []
+    ids: dict[str, None] = {}  # an ordered set
     labels: list[int] = []
     rows: list[list[float]] = []
-    row_lines: list[int] = []
-    seen: set[str] = set()
-    for lineno, ln in lines[1:]:
-        parts = [x.strip() for x in ln.split(",")]
+    for k in range(1, len(lines)):
+        parts = lines[k].split(",")  # int() and float() ignore the spaces around a field
         if len(parts) != m + 2:
-            raise ValidationError(f"{p}:{lineno}: expected {m + 2} fields, got {len(parts)}")
-        sid = parts[0]
-        if sid in seen:
-            raise ValidationError(f"{p}:{lineno}: duplicate sample_id {sid!r}")
-        seen.add(sid)
+            raise ValidationError(f"{where(k)}: expected {m + 2} fields, got {len(parts)}")
+        sid = parts[0].strip()
+        if sid in ids:
+            raise ValidationError(f"{where(k)}: duplicate sample_id {sid!r}")
         try:
             label = int(parts[1])
             conf = [float(x) for x in parts[2:]]
         except ValueError as exc:
-            raise ValidationError(f"{p}:{lineno}: non-numeric field") from exc
-        ids.append(sid)
+            raise ValidationError(f"{where(k)}: non-numeric field") from exc
+        ids[sid] = None
         labels.append(label)
-        row_lines.append(lineno)
         rows.append(conf)
     if not rows:
         raise ValidationError(f"{p}: no data rows")
 
     y = np.asarray(labels, dtype=np.int64)
-    y -= y.min()  # contiguous external labels become 0-based indices
-    bad = np.nonzero(y >= m)[0]
-    if bad.size:
+    lo, hi = int(y.min()), int(y.max())
+    if 0 < lo and hi - lo < m - 1:  # bases lo - 1 and lo both fit every label
         raise ValidationError(
-            f"{p}:{row_lines[bad[0]]}: label out of range for {m} classes"
+            f"{p}: ambiguous label base: labels {lo}..{hi} fit {m} classes "
+            f"from any base in {max(0, hi - m + 1)}..{lo}"
         )
+    y -= max(lo, 0)
+    bad = np.nonzero((y < 0) | (y >= m))[0]
+    if bad.size:
+        raise ValidationError(f"{where(int(bad[0]) + 1)}: label out of range for {m} classes")
     values = np.asarray(rows, dtype=np.float64)
     flat = np.nonzero(values.max(axis=1) - values.min(axis=1) == 0.0)[0]
     if flat.size:
-        raise ValidationError(f"{p}:{row_lines[flat[0]]}: constant score row ranks no class")
+        raise ValidationError(f"{where(int(flat[0]) + 1)}: constant score row ranks no class")
     if normalize:
         values = minmax_normalize_rows(values)
     return ConfidenceMatrix(values=values, sample_ids=tuple(ids), modality=modality), y
@@ -177,18 +163,6 @@ def report_to_dict(report: ExperimentReport) -> dict:
     }
 
 
-def report_from_dict(data: dict) -> ExperimentReport:
-    try:
-        config = RunConfig(**data["config"])
-        folds = tuple(FoldResult(**f) for f in data["folds"])
-        summary = ReportSummary(
-            **{k: MeanStd(**v) for k, v in data["summary"].items()}
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed report document: {exc}") from exc
-    return ExperimentReport(config=config, folds=folds, summary=summary)
-
-
 def render_report_text(report: ExperimentReport) -> str:
     """Human-readable per-fold table with an aggregate row."""
     c = report.config
@@ -224,26 +198,23 @@ def render_report_text(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: ExperimentReport, path, fmt: str = "text") -> None:
-    """Serialize a report; ``fmt`` is 'text' or 'structured' (JSON)."""
+def format_report(report: ExperimentReport, fmt: str = "text") -> str:
+    """A report as 'text' (the fold table) or 'structured' (JSON)."""
     if fmt == "text":
-        payload = render_report_text(report)
-    elif fmt == "structured":
-        payload = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
-    else:
-        raise ValidationError(f"unknown report format {fmt!r}")
-    Path(path).write_text(payload)
+        return render_report_text(report)
+    if fmt == "structured":
+        return json_text(report_to_dict(report))
+    raise ValidationError(f"unknown report format {fmt!r}")
 
 
-def load_report(path) -> ExperimentReport:
-    """Reload a structured (JSON) report."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ValidationError(f"cannot read report {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not a structured report: {exc}") from exc
-    return report_from_dict(data)
+def write_report(report: ExperimentReport, path, fmt: str = "text") -> None:
+    """Write :func:`format_report`'s output to ``path``."""
+    Path(path).write_text(format_report(report, fmt))
+
+
+def json_text(doc) -> str:
+    """The JSON form of every structured output: two-space indent, sorted keys, final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # -- fusion model persistence -------------------------------------------
@@ -255,7 +226,7 @@ def save_fusion_model(model: FusionModel, path) -> None:
         "bound": model.difference.bound,
         "difference": [float(v) for v in model.difference.values],
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json_text(doc))
 
 
 def load_fusion_model(path) -> FusionModel:
@@ -278,24 +249,17 @@ def load_fusion_model(path) -> FusionModel:
 
 def parse_config_file(path) -> dict[str, str]:
     """Read a flat ``key = value`` config; keys match CLI flag names."""
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise ValidationError(f"cannot read config {p}: {exc}") from exc
+    lines, where = read_lines(path, "config")
     out: dict[str, str] = {}
-    for lineno, ln in enumerate(text.splitlines(), start=1):
-        line = ln.strip()
-        if not line or line.startswith("#"):
-            continue
+    for k, line in enumerate(lines):
         if "=" not in line:
-            raise ValidationError(f"{p}:{lineno}: expected 'key = value', got {line!r}")
+            raise ValidationError(f"{where(k)}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if not key or not value:
-            raise ValidationError(f"{p}:{lineno}: empty key or value")
+            raise ValidationError(f"{where(k)}: empty key or value")
         if key in out:
-            raise ValidationError(f"{p}:{lineno}: duplicate key {key!r}")
+            raise ValidationError(f"{where(k)}: duplicate key {key!r}")
         out[key] = value
     return out

@@ -57,7 +57,7 @@ class ScoringConfig:
             raise ValidationError("rank_depth must be >= 1")
 
 
-def conf_diff(confidences, true_label: int, rank_depth: int = 5) -> float:
+def conf_diff(confidences, true_label: int, rank_depth: int = ScoringConfig.rank_depth) -> float:
     """Confidence gap between the top prediction and the true subject.
 
     Returns 0.0 when the true subject is ranked first, the top-minus-true

@@ -45,6 +45,10 @@ FULL_PRESET = (87, 100)
 DEFAULT_CLEAN_TARGETS = (0.98839, 0.96138)
 DEFAULT_DEGRADED_TARGETS = (0.66586, 0.76276)
 
+# calibration stops once the estimated accuracy is this close to the target
+CALIBRATION_TOLERANCE = 0.005
+MAX_BISECTION_STEPS = 200
+
 
 class CalibrationError(RuntimeError):
     """The requested accuracy target cannot be reached in the search range."""
@@ -217,11 +221,9 @@ def calibrate(
     seed: int | np.random.SeedSequence = 0,
     *,
     slot: str = "clean",
-    tolerance: float = 0.005,
     sigma_range: tuple[float, float] = (1e-4, 1e4),
-    max_iter: int = 200,
 ) -> CalibrationResult:
-    """Bisect the noise sigma until simulated rank-1 accuracy hits the target.
+    """Bisect the noise sigma until simulated rank-1 accuracy is within tolerance of the target.
 
     The Monte-Carlo draw is fixed up front and shared across all sigma
     evaluations, which makes the estimated accuracy exactly monotone in
@@ -265,11 +267,11 @@ def calibrate(
         )
 
     log_lo, log_hi = np.log(lo), np.log(hi)
-    for _ in range(max_iter):
+    for _ in range(MAX_BISECTION_STEPS):
         log_mid = 0.5 * (log_lo + log_hi)
         sigma = float(np.exp(log_mid))
         a = acc(sigma)
-        if abs(a - target_accuracy) <= tolerance:
+        if abs(a - target_accuracy) <= CALIBRATION_TOLERANCE:
             fitted = _with_sigma(params_template, sigma, slot)
             return CalibrationResult(
                 params=fitted,
@@ -284,8 +286,8 @@ def calibrate(
         else:
             log_hi = log_mid
     raise CalibrationError(
-        f"bisection did not reach the target within {max_iter} iterations; "
-        "increase trials or loosen the tolerance"
+        f"bisection did not come within {CALIBRATION_TOLERANCE} of the target in "
+        f"{MAX_BISECTION_STEPS} steps; increase trials"
     )
 
 
@@ -340,14 +342,9 @@ def calibrate_clean_regime(
     ecg_target: float = DEFAULT_CLEAN_TARGETS[1],
     trials: int = 100_000,
     seed: int | np.random.SeedSequence = 0,
-    true_class_mean: float = 1.0,
 ) -> RegimeCalibration:
     """Fit clean-noise levels so each modality hits its accuracy target."""
-    template = GeneratorParams(
-        num_classes=num_classes,
-        samples_per_class=samples_per_class,
-        true_class_mean=true_class_mean,
-    )
+    template = GeneratorParams(num_classes=num_classes, samples_per_class=samples_per_class)
     face_ss, ecg_ss = _as_seedseq(seed).spawn(2)
     face_cal = calibrate(face_target, template, trials=trials, seed=face_ss, slot="clean")
     ecg_cal = calibrate(ecg_target, template, trials=trials, seed=ecg_ss, slot="clean")

@@ -8,12 +8,16 @@ import pytest
 from idfusion.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from idfusion.evaluation import EvalConfig, run_experiment
 from idfusion.fusion import predict_fused
-from idfusion.io import load_fusion_model, load_paired_dataset, load_report
+from idfusion.io import load_fusion_model, load_paired_dataset
 from reference import make_pulse_train
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def config_of(report_path):
+    return json.loads(report_path.read_text())["config"]
 
 
 @pytest.fixture(scope="module")
@@ -45,9 +49,9 @@ class TestSimulate:
             "--folds", "3", "--seed", "1", "--out", str(out), "--format", "structured",
         )
         assert code == EXIT_OK
-        report = load_report(out)
-        assert report.config.folds == 3
-        assert report.config.n_samples == 48
+        config = config_of(out)
+        assert config["folds"] == 3
+        assert config["n_samples"] == 48
 
     def test_degraded_scenario_runs(self, tmp_path):
         out = tmp_path / "r.json"
@@ -57,7 +61,7 @@ class TestSimulate:
             "--out", str(out), "--format", "structured",
         )
         assert code == EXIT_OK
-        assert load_report(out).config.scenario == "degraded"
+        assert config_of(out)["scenario"] == "degraded"
 
     def test_rules_require_degraded_scenario(self, capsys):
         code = run_cli("simulate", "--face-rule", "2", "--scenario", "clean")
@@ -75,13 +79,13 @@ class TestSimulate:
         assert run_cli("simulate", "--config", str(cfg), "--out", str(out1)) == EXIT_OK
         assert run_cli("simulate", "--config", str(cfg), "--out", str(out2),
                        "--seed", "10") == EXIT_OK
-        assert load_report(out1).config.seed == 9
-        assert load_report(out2).config.seed == 10
+        assert config_of(out1)["seed"] == 9
+        assert config_of(out2)["seed"] == 10
         # a later call without --config must not inherit the file's values
         out3 = tmp_path / "c.json"
         assert run_cli("simulate", "--subjects", "8", "--samples", "6", "--trials", "20000",
                        "--folds", "3", "--out", str(out3), "--format", "structured") == EXIT_OK
-        assert load_report(out3).config.seed == 0
+        assert config_of(out3)["seed"] == 0
 
     @pytest.mark.parametrize(
         "line, message",
@@ -225,6 +229,25 @@ class TestCalibrateCommand:
     def test_invalid_sigma_range_is_data_error(self, bounds, capsys):
         assert run_cli("calibrate", "--target", "0.9", *bounds) == EXIT_DATA
         assert capsys.readouterr().err.startswith("error: invalid data: sigma_range")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--subjects", "8", "--samples", "6", "--trials", "20000", "--folds", "3"],
+        ["simulate", "--subjects", "8", "--samples", "6", "--trials", "20000", "--folds", "3",
+         "--format", "structured"],
+        ["calibrate", "--target", "0.9", "--classes", "20", "--trials", "20000"],
+    ],
+    ids=["simulate-text", "simulate-structured", "calibrate"],
+)
+def test_stdout_and_out_file_are_identical(argv, tmp_path, capsys):
+    assert run_cli(*argv) == EXIT_OK
+    printed = capsys.readouterr().out
+    out = tmp_path / "result"
+    assert run_cli(*argv, "--out", str(out)) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
 
 
 class TestUsageAndExitCodes:

@@ -176,7 +176,7 @@ class TestSignalFiles:
         assert back.sample_rate == pytest.approx(256.0, rel=1e-6)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="cannot read signal file .*absent.txt"):
             read_signal(tmp_path / "absent.txt")
 
     def test_malformed_csv_row(self, tmp_path):

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from idfusion import simulator
 from idfusion.core import ValidationError
 from idfusion.simulator import (
     DEFAULT_DEGRADED_TARGETS,
@@ -169,6 +170,11 @@ class TestCalibrate:
     def test_invalid_sigma_range_rejected(self, sigma_range):
         with pytest.raises(ValidationError, match="sigma_range"):
             calibrate(0.9, _params(m=10), trials=20_000, seed=1, sigma_range=sigma_range)
+
+    def test_step_limit_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(simulator, "MAX_BISECTION_STEPS", 0)
+        with pytest.raises(CalibrationError, match="in 0 steps; increase trials"):
+            calibrate(0.9, _params(m=10), trials=20_000, seed=1)
 
     def test_degraded_slot_keeps_sigma_ordering(self):
         clean_cal = calibrate(0.96, _params(m=30), trials=50_000, seed=2)
