@@ -46,12 +46,12 @@ def read_lines(path, what: str, comment: str | None = "#") -> tuple[list[str], C
 
     Blank lines are skipped, and so are lines starting with ``comment`` (``None``: no comments).
     ``where`` counts the skipped lines by rescanning, so call it only to report an error.
-    An unreadable file raises :class:`ValidationError` "cannot read <what> <path>: ...".
+    An unreadable or undecodable file raises :class:`ValidationError` "cannot read <what> <path>: ...".
     """
     p = Path(path)
     try:
         lines = [ln.strip() for ln in p.read_text().splitlines()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {what} {p}: {exc}") from exc
     data = [ln for ln in lines if ln and ln[0] != comment]
 

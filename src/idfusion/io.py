@@ -4,7 +4,11 @@ Score files are plain CSV, one row per sample: ``sample_id, true_label``
 followed by one confidence column per enrolled subject. The header's
 confidence columns are named ``<modality>_<index>``, which carries both
 the modality tag and the class count. Floats are written with ``repr`` so
-a write/read round trip is bit-exact.
+a write/read round trip is bit-exact. A score file is parsed in bulk: each
+line is split once into id, label and confidence text, and ``np.loadtxt``
+converts all confidences in one call. A file the bulk parse cannot take
+(a wrong field count, a repeated id, a number only ``float()`` reads, such
+as ``1_0``) is parsed again line by line, which names the first bad line.
 """
 
 from __future__ import annotations
@@ -61,6 +65,47 @@ def load_score_matrix(path, normalize: bool = True) -> tuple[ConfidenceMatrix, n
     if conf_cols != [f"{modality}_{j}" for j in range(m)]:
         raise ValidationError(f"{where(0)}: confidence columns must be {modality}_0..{modality}_{m - 1}")
 
+    fields = [line.split(",", 2) for line in lines[1:]]
+    if not fields:
+        raise ValidationError(f"{p}: no data rows")
+    values = None
+    try:
+        ids = dict.fromkeys(f[0].strip() for f in fields)  # an ordered set
+        labels = [int(f[1]) for f in fields]
+        tails = [f[2] for f in fields]
+        if all(tails):  # loadtxt skips an empty tail ("a,0,"), and warns if every tail is
+            values = np.loadtxt(tails, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    except (IndexError, ValueError):
+        pass
+    # a short line, a bad number, a wrong column count or a repeated id: find it line by line
+    if values is None or values.shape != (len(fields), m) or len(ids) != len(fields):
+        ids, labels, values = _parse_rows(lines, where, m)
+
+    y = np.asarray(labels, dtype=np.int64)
+    lo, hi = int(y.min()), int(y.max())
+    if 0 < lo and hi - lo < m - 1:  # bases lo - 1 and lo both fit every label
+        raise ValidationError(
+            f"{p}: ambiguous label base: labels {lo}..{hi} fit {m} classes "
+            f"from any base in {max(0, hi - m + 1)}..{lo}"
+        )
+    y -= max(lo, 0)
+    bad = np.nonzero((y < 0) | (y >= m))[0]
+    if bad.size:
+        raise ValidationError(f"{where(int(bad[0]) + 1)}: label out of range for {m} classes")
+    flat = np.nonzero(values.max(axis=1) - values.min(axis=1) == 0.0)[0]
+    if flat.size:
+        raise ValidationError(f"{where(int(flat[0]) + 1)}: constant score row ranks no class")
+    if normalize:
+        values = minmax_normalize_rows(values)
+    return ConfidenceMatrix(values=values, sample_ids=tuple(ids), modality=modality), y
+
+
+def _parse_rows(lines, where, m: int) -> tuple[dict[str, None], list[int], np.ndarray]:
+    """Parse the data lines one by one, naming the line of the first bad one.
+
+    The fallback of :func:`load_score_matrix`: it also accepts the numbers
+    ``float()`` reads and ``np.loadtxt`` does not, such as ``1_0``.
+    """
     ids: dict[str, None] = {}  # an ordered set
     labels: list[int] = []
     rows: list[list[float]] = []
@@ -79,27 +124,7 @@ def load_score_matrix(path, normalize: bool = True) -> tuple[ConfidenceMatrix, n
         ids[sid] = None
         labels.append(label)
         rows.append(conf)
-    if not rows:
-        raise ValidationError(f"{p}: no data rows")
-
-    y = np.asarray(labels, dtype=np.int64)
-    lo, hi = int(y.min()), int(y.max())
-    if 0 < lo and hi - lo < m - 1:  # bases lo - 1 and lo both fit every label
-        raise ValidationError(
-            f"{p}: ambiguous label base: labels {lo}..{hi} fit {m} classes "
-            f"from any base in {max(0, hi - m + 1)}..{lo}"
-        )
-    y -= max(lo, 0)
-    bad = np.nonzero((y < 0) | (y >= m))[0]
-    if bad.size:
-        raise ValidationError(f"{where(int(bad[0]) + 1)}: label out of range for {m} classes")
-    values = np.asarray(rows, dtype=np.float64)
-    flat = np.nonzero(values.max(axis=1) - values.min(axis=1) == 0.0)[0]
-    if flat.size:
-        raise ValidationError(f"{where(int(flat[0]) + 1)}: constant score row ranks no class")
-    if normalize:
-        values = minmax_normalize_rows(values)
-    return ConfidenceMatrix(values=values, sample_ids=tuple(ids), modality=modality), y
+    return ids, labels, np.asarray(rows, dtype=np.float64)
 
 
 def write_score_matrix(matrix: ConfidenceMatrix, labels, path) -> None:
@@ -233,15 +258,13 @@ def load_fusion_model(path) -> FusionModel:
     try:
         doc = json.loads(Path(path).read_text())
         order = tuple(doc["modality_order"])
-        diff = DifferenceVector(
-            values=np.asarray(doc["difference"], dtype=np.float64),
-            bound=float(doc["bound"]),
-        )
+        values = np.asarray(doc["difference"], dtype=np.float64)
+        bound = float(doc["bound"])
     except OSError as exc:
         raise ValidationError(f"cannot read model {path}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad UTF-8, JSON or number
         raise ValidationError(f"{path}: not a fusion model file: {exc}") from exc
-    return FusionModel(difference=diff, modality_order=order)
+    return FusionModel(difference=DifferenceVector(values=values, bound=bound), modality_order=order)
 
 
 # -- flat key-value config files ----------------------------------------

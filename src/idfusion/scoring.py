@@ -30,7 +30,6 @@ from .core import (
     ValidationError,
     as_confidence_vector,
     as_label_vector,
-    descending_order,
 )
 
 __all__ = ["ScoringConfig", "conf_diff", "compute_subject_scores"]
@@ -84,10 +83,12 @@ def _gaps_and_predictions(
     computes it once for all folds; only :func:`_clamped_scores` depends on order.
     """
     rows = np.arange(values.shape[0])
-    order = descending_order(values)
-    true_rank = np.argmax(order == labels[:, None], axis=1)
-    top = order[:, 0]
-    gap = values[rows, top] - values[rows, labels]
+    top = np.argmax(values, axis=1)  # the first maximum: ties go to the lower index
+    true = values[rows, labels][:, None]
+    below = np.arange(values.shape[1]) < labels[:, None]
+    # classes ranked above the true one: higher scores, and equal scores at lower indices
+    true_rank = (values > true).sum(axis=1) + ((values == true) & below).sum(axis=1)
+    gap = values[rows, top] - true[:, 0]
     gap = np.clip(gap, 0.0, 1.0)
     out = np.where(true_rank == 0, 0.0, np.where(true_rank < rank_depth, gap, 1.0))
     return out, top

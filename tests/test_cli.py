@@ -184,6 +184,19 @@ class TestFuse:
             "fuse", "--model", str(model_path), "--face", "0.1,oops", "--ecg", "0.5,0.5"
         ) == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"modality_order": ["face", "ecg"], "bound": 0.1, "difference": ["x", 0.1]}', b"\xff"],
+        ids=["non-number", "not-utf8"],
+    )
+    def test_garbage_model_is_data_error(self, tmp_path, capsys, content):
+        model_path = tmp_path / "model.json"
+        model_path.write_bytes(content)
+        assert run_cli(
+            "fuse", "--model", str(model_path), "--face", "0.1,0.9", "--ecg", "0.5,0.4"
+        ) == EXIT_DATA
+        assert "not a fusion model file" in capsys.readouterr().err
+
 
 class TestPrepEcg:
     def test_end_to_end(self, tmp_path):

@@ -1,9 +1,16 @@
 """Score CSVs, report serialization, config files, and model persistence."""
 
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from idfusion.core import ConfidenceMatrix, ValidationError
+from idfusion.core import ConfidenceMatrix, ValidationError, minmax_normalize_rows
+from idfusion.ecg import read_signal
 from idfusion.evaluation import EvalConfig, run_experiment, train_fusion_model
 from idfusion.fusion import FusionModel, normalize_difference, predict_fused
 from idfusion.io import (
@@ -200,6 +207,106 @@ class TestScoreFiles:
         np.testing.assert_array_equal(back.labels, ds.labels)
 
 
+_FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+@st.composite
+def _score_lines(draw):
+    """A score CSV's lines: well-formed (ties, integer-looking values, spaced fields,
+    ids starting with '#', a blank line), or with one defect in one row."""
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 6))
+    ids = draw(st.lists(st.text("#ab0_", min_size=1, max_size=3), min_size=n, max_size=n, unique=True))
+    labels = [0] + draw(st.lists(st.integers(0, m - 1), min_size=n - 1, max_size=n - 1))
+    token = st.sampled_from(["0", "1", "0.5", "0.0", "1.0"]) | st.floats(0.0, 1.0).map(repr)
+    rows = []
+    for sid, label in zip(ids, labels):
+        values = draw(st.lists(token, min_size=m, max_size=m))
+        if len({float(v) for v in values}) == 1:  # a constant row is a different error
+            values[0] = "1" if float(values[0]) == 0.0 else "0"
+        rows.append([sid, str(label)] + values)
+    r = draw(st.integers(0, n - 1))
+    defect = draw(st.sampled_from([None, "missing", "extra", "empty-tail", "duplicate",
+                                   "bad-label", "bad-value", "underscore", "full-width"]))
+    if defect == "missing":
+        rows[r].pop()
+    elif defect == "extra":
+        rows[r].append("0.5")
+    elif defect == "empty-tail":
+        rows[r][2:] = [""]
+    elif defect == "duplicate":
+        rows[r][0] = rows[(r + 1) % n][0]
+    elif defect == "bad-label":
+        rows[r][1] = "x"
+    elif defect == "bad-value":
+        rows[r][2] = "0.5.5"
+    elif defect == "underscore":
+        rows[r][2] = "1_0"
+    elif defect == "full-width":
+        rows[r][1:3] = [f.translate(_FULL_WIDTH) for f in rows[r][1:3]]
+    pad = st.sampled_from(["{}", " {}", "{} ", " {} "])
+    lines = ["sample_id,true_label," + ",".join(f"face_{j}" for j in range(m))]
+    lines += [",".join(draw(pad).format(f) for f in row) for row in rows]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    return lines
+
+
+def _plain_read(path):
+    """Ids, labels and rows of a score CSV read with str.split, int() and float(),
+    or the loader's ValidationError for a bad row."""
+    lines = [(n, ln.strip()) for n, ln in enumerate(path.read_text().splitlines(), start=1)]
+    lines = [(n, ln) for n, ln in lines if ln]
+    width = len(lines[0][1].split(","))
+    ids, labels, rows = [], [], []
+    for n, line in lines[1:]:
+        fields = line.split(",")
+        if len(fields) != width:
+            raise ValidationError(f"{path}:{n}: expected {width} fields, got {len(fields)}")
+        if fields[0].strip() in ids:
+            raise ValidationError(f"{path}:{n}: duplicate sample_id {fields[0].strip()!r}")
+        try:
+            labels.append(int(fields[1]))
+            rows.append([float(f) for f in fields[2:]])
+        except ValueError:
+            raise ValidationError(f"{path}:{n}: non-numeric field") from None
+        ids.append(fields[0].strip())
+    return tuple(ids), labels, np.asarray(rows, dtype=np.float64)
+
+
+@given(_score_lines())
+@settings(max_examples=300, deadline=None)
+def test_loader_matches_plain_reader(lines):
+    with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
+        warnings.simplefilter("error")  # the bulk parse must leak no numpy warning
+        path = _write(Path(d) / "face.csv", lines)
+        try:
+            ids, labels, raw = _plain_read(path)
+        except ValidationError as want:
+            with pytest.raises(ValidationError) as got:
+                load_score_matrix(path)
+            assert str(got.value) == str(want)
+            return
+        matrix, y = load_score_matrix(path)
+        assert matrix.sample_ids == ids
+        assert y.tolist() == labels
+        assert matrix.values.tobytes() == minmax_normalize_rows(raw).tobytes()
+        if raw.max() <= 1.0:
+            assert load_score_matrix(path, normalize=False)[0].values.tobytes() == raw.tobytes()
+
+
+@pytest.mark.parametrize(
+    "reader, what",
+    [(load_score_matrix, "score file"), (parse_config_file, "config"), (read_signal, "signal file")],
+    ids=["score-file", "config", "signal-file"],
+)
+def test_undecodable_file_is_a_data_error(tmp_path, reader, what):
+    path = tmp_path / "bin.dat"
+    path.write_bytes(b"sample_id,true_label\xff\n")
+    with pytest.raises(ValidationError, match=f"cannot read {what} .*bin.dat: .*decode"):
+        reader(path)
+
+
 class TestReports:
     def test_text_table_has_fold_rows_plus_aggregate(self, tmp_path):
         k = 3
@@ -240,10 +347,19 @@ class TestFusionModelFiles:
             assert predict_fused(ds.face.values[i], ds.ecg.values[i], back) == \
                 predict_fused(ds.face.values[i], ds.ecg.values[i], model)
 
-    def test_garbage_file_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"not json",
+            b'{"modality_order": ["face", "ecg"], "bound": 0.1, "difference": ["x", 0.1]}',
+            b'{"modality_order": ["face\xff", "ecg"], "bound": 0.1, "difference": [0.0, 0.1]}',
+        ],
+        ids=["not-json", "non-number", "not-utf8"],
+    )
+    def test_garbage_file_rejected(self, tmp_path, content):
         path = tmp_path / "model.json"
-        path.write_text("not json")
-        with pytest.raises(ValidationError):
+        path.write_bytes(content)
+        with pytest.raises(ValidationError, match="model.json: not a fusion model file"):
             load_fusion_model(path)
 
 

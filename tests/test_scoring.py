@@ -39,12 +39,20 @@ class TestConfDiff:
             conf_diff([0.5, 0.5], 0, rank_depth=3)
 
     @given(
-        st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=2, max_size=12)
+        st.one_of(
+            st.lists(
+                st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=2, max_size=12
+            ).map(lambda v: (v, min(5, len(v)))),
+            # ties: the true rank must count equal scores at lower indices
+            st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=2, max_size=12).flatmap(
+                lambda v: st.tuples(st.just(v), st.integers(1, len(v)))
+            ),
+        )
     )
-    @settings(max_examples=100)
-    def test_result_always_in_unit_interval(self, values):
+    @settings(max_examples=200)
+    def test_result_always_in_unit_interval(self, drawn):
+        values, depth = drawn
         c = np.asarray(values)
-        depth = min(5, c.size)
         order = rank_indices_reference(values, c.size)
         for label in range(c.size):
             gap = conf_diff(c, label, depth)
@@ -118,16 +126,17 @@ class TestComputeSubjectScores:
     @pytest.mark.filterwarnings("ignore:unbalanced")
     def test_matches_reference_on_random_instances(self):
         rng = np.random.default_rng(42)
-        for _ in range(200):
-            m = int(rng.integers(2, 11))
-            n = int(rng.integers(m, 10 * m + 1))
-            conf = rng.random((n, m))
-            labels = rng.integers(0, m, n)
-            spc = n / m
-            depth = min(5, m)
-            got = compute_subject_scores(conf, labels, _cfg(spc, depth))
-            want = subject_scores_reference(conf, labels, spc, depth)
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        for tied in (False, True):  # tied scores are drawn at every rank depth
+            for _ in range(200):
+                m = int(rng.integers(2, 11))
+                n = int(rng.integers(m, 10 * m + 1))
+                conf = rng.choice([0.0, 0.5, 1.0], size=(n, m)) if tied else rng.random((n, m))
+                labels = rng.integers(0, m, n)
+                spc = n / m
+                depth = int(rng.integers(1, m + 1)) if tied else min(5, m)
+                got = compute_subject_scores(conf, labels, _cfg(spc, depth))
+                want = subject_scores_reference(conf, labels, spc, depth)
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
     @given(
         st.integers(min_value=2, max_value=8),
