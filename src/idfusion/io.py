@@ -4,11 +4,13 @@ Score files are plain CSV, one row per sample: ``sample_id, true_label``
 followed by one confidence column per enrolled subject. The header's
 confidence columns are named ``<modality>_<index>``, which carries both
 the modality tag and the class count. Floats are written with ``repr`` so
-a write/read round trip is bit-exact. A score file is parsed in bulk: each
-line is split once into id, label and confidence text, and ``np.loadtxt``
-converts all confidences in one call. A file the bulk parse cannot take
-(a wrong field count, a repeated id, a number only ``float()`` reads, such
-as ``1_0``) is parsed again line by line, which names the first bad line.
+a write/read round trip is bit-exact. A score file is written one row at
+a time, so a dump holds one row's text in memory, not the whole file. It
+is parsed in bulk: each line is split once into id, label and confidence
+text, and ``np.loadtxt`` converts all confidences in one call. A file the
+bulk parse cannot take (a wrong field count, a repeated id, a number only
+``float()`` reads, such as ``1_0``) is parsed again line by line, which
+names the first bad line.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ def load_score_matrix(path, normalize: bool = True) -> tuple[ConfidenceMatrix, n
     remapped to 0-based indices. With ``normalize`` (the default) every row
     is min-max rescaled; disable it for files that are already in [0, 1].
     A constant row is rejected in both modes: its argmax would silently be
-    class 0. A sample id may start with ``#``: score files have no comments.
+    class 0. So is a row with a NaN or infinite confidence. A sample id may
+    start with ``#``: score files have no comments.
     """
     p = Path(path)
     lines, where = read_lines(p, "score file", comment=None)
@@ -81,7 +84,11 @@ def load_score_matrix(path, normalize: bool = True) -> tuple[ConfidenceMatrix, n
     if values is None or values.shape != (len(fields), m) or len(ids) != len(fields):
         ids, labels, values = _parse_rows(lines, where, m)
 
-    y = np.asarray(labels, dtype=np.int64)
+    try:
+        y = np.asarray(labels, dtype=np.int64)
+    except OverflowError:
+        k = next(k for k, v in enumerate(labels) if not -(2**63) <= v < 2**63)
+        raise ValidationError(f"{where(k + 1)}: label out of range for {m} classes") from None
     lo, hi = int(y.min()), int(y.max())
     if 0 < lo and hi - lo < m - 1:  # bases lo - 1 and lo both fit every label
         raise ValidationError(
@@ -92,6 +99,9 @@ def load_score_matrix(path, normalize: bool = True) -> tuple[ConfidenceMatrix, n
     bad = np.nonzero((y < 0) | (y >= m))[0]
     if bad.size:
         raise ValidationError(f"{where(int(bad[0]) + 1)}: label out of range for {m} classes")
+    bad = np.nonzero(~np.isfinite(values).all(axis=1))[0]
+    if bad.size:
+        raise ValidationError(f"{where(int(bad[0]) + 1)}: NaN or infinite confidence")
     flat = np.nonzero(values.max(axis=1) - values.min(axis=1) == 0.0)[0]
     if flat.size:
         raise ValidationError(f"{where(int(flat[0]) + 1)}: constant score row ranks no class")
@@ -135,10 +145,10 @@ def write_score_matrix(matrix: ConfidenceMatrix, labels, path) -> None:
     header = ["sample_id", "true_label"] + [
         f"{matrix.modality}_{j}" for j in range(matrix.num_classes)
     ]
-    out = [",".join(header)]
-    for sid, label, row in zip(matrix.sample_ids, y, matrix.values):
-        out.append(",".join([sid, str(int(label))] + [repr(float(v)) for v in row]))
-    Path(path).write_text("\n".join(out) + "\n")
+    with open(path, "w") as f:  # the encoding and newlines of Path.write_text
+        f.write(",".join(header) + "\n")
+        for sid, label, row in zip(matrix.sample_ids, y.tolist(), matrix.values):
+            f.write(f"{sid},{label}," + ",".join(map(repr, row.tolist())) + "\n")
 
 
 def load_paired_dataset(face_path, ecg_path, normalize: bool = True) -> PairedDataset:

@@ -48,6 +48,8 @@ DEFAULT_DEGRADED_TARGETS = (0.66586, 0.76276)
 # calibration stops once the estimated accuracy is this close to the target
 CALIBRATION_TOLERANCE = 0.005
 MAX_BISECTION_STEPS = 200
+# rows of the calibration draw held in memory at once
+_DRAW_BLOCK_ROWS = 4096
 
 
 class CalibrationError(RuntimeError):
@@ -227,11 +229,15 @@ def calibrate(
 
     The Monte-Carlo draw is fixed up front and shared across all sigma
     evaluations, which makes the estimated accuracy exactly monotone in
-    sigma and the bisection well behaved. ``slot`` selects whether the
-    fitted sigma lands in the clean or the degraded field of the returned
-    params. Raises :class:`CalibrationError` when the target is not
-    bracketed by the search range or the accuracy landscape is flat
-    (e.g. a zero true-class offset, where every sigma gives chance level).
+    sigma and the bisection well behaved. The ``trials x M`` normals are
+    drawn in blocks of rows and only each trial's margin is kept, so memory
+    is 8 bytes per trial plus one block (4096 x M floats). Consecutive
+    blocks are exactly the one-shot draw, so the result does not depend on
+    the block size. ``slot`` selects whether the fitted sigma lands in the
+    clean or the degraded field of the returned params. Raises
+    :class:`CalibrationError` when the target is not bracketed by the
+    search range or the accuracy landscape is flat (e.g. a zero true-class
+    offset, where every sigma gives chance level).
     """
     if not 0.0 < target_accuracy < 1.0:
         raise ValidationError("target accuracy must lie strictly between 0 and 1")
@@ -246,10 +252,14 @@ def calibrate(
     mu = params_template.true_class_mean
     m = params_template.num_classes
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((trials, m))
     # the sample is correct iff mu/sigma exceeds the margin by which the
     # best competitor's noise beats the true class's noise
-    margin = np.sort(z[:, 1:].max(axis=1) - z[:, 0])
+    margin = np.empty(trials)
+    block = np.empty((min(_DRAW_BLOCK_ROWS, trials), m))
+    for start in range(0, trials, len(block)):
+        z = rng.standard_normal(out=block[: trials - start])
+        np.subtract(z[:, 1:].max(axis=1), z[:, 0], out=margin[start : start + len(z)])
+    margin.sort()
 
     def acc(sigma: float) -> float:
         return float(np.searchsorted(margin, mu / sigma, side="left") / trials)

@@ -1,6 +1,7 @@
 """Score CSVs, report serialization, config files, and model persistence."""
 
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -72,6 +73,29 @@ class TestScoreFiles:
         np.testing.assert_array_equal(y, labels)
         assert back.sample_ids == matrix.sample_ids
 
+    def test_written_floats_are_their_repr(self, tmp_path):
+        awkward = [5e-324, 0.1, 1 / 3, 1 - 2**-53, 0.0, 1.0]
+        values = np.array([awkward, awkward[::-1]])
+        matrix = ConfidenceMatrix(values, ("a", "b"), "face")
+        path = tmp_path / "scores.csv"
+        write_score_matrix(matrix, [3, 0], path)
+        header = "sample_id,true_label," + ",".join(f"face_{j}" for j in range(6))
+        rows = [f"{sid},{y}," + ",".join(repr(v) for v in row)
+                for sid, y, row in (("a", 3, awkward), ("b", 0, awkward[::-1]))]
+        assert path.read_text() == "\n".join([header] + rows) + "\n"
+
+    def test_writer_memory_does_not_grow_with_rows(self, tmp_path):
+        rng = np.random.default_rng(4)
+        matrix = ConfidenceMatrix(rng.random((2000, 87)), tuple(f"s{i}" for i in range(2000)), "ecg")
+        labels = np.arange(2000) % 87
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            write_score_matrix(matrix, labels, tmp_path / "scores.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6  # the file is about 3.3 MB of text
+
     def test_wrong_field_count_names_line(self, tmp_path):
         # the blank line counts: errors name the line in the file
         path = _write(
@@ -120,6 +144,25 @@ class TestScoreFiles:
         )
         with pytest.raises(ValidationError, match="label out of range"):
             load_score_matrix(path)
+
+    def test_label_beyond_int64_names_line(self, tmp_path):
+        path = _write(
+            tmp_path / "big.csv",
+            ["sample_id,true_label,face_0,face_1", "a,0,0.9,0.1", "b,99999999999999999999,0.2,0.8"],
+        )
+        with pytest.raises(ValidationError, match="big.csv:3: label out of range for 2 classes"):
+            load_score_matrix(path)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("row", ["nan,nan", "0.9,nan", "inf,0.1", "0.2,-inf"])
+    def test_non_finite_confidence_names_line(self, tmp_path, row, normalize):
+        # a NaN row would pass the constant-row check: nan - nan is not 0
+        path = _write(
+            tmp_path / "nan.csv",
+            ["sample_id,true_label,face_0,face_1", "a,0,0.9,0.1", f"b,1,{row}", "c,0,0.5,0.5"],
+        )
+        with pytest.raises(ValidationError, match="nan.csv:3: NaN or infinite confidence"):
+            load_score_matrix(path, normalize=normalize)
 
     @pytest.mark.parametrize(
         "labels, message",

@@ -1,6 +1,7 @@
 """Score generator: determinism, degradation rules, and calibration."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,41 @@ class TestCalibrate:
         )
         assert deg_cal.params.noise_sigma_degraded > deg_cal.params.noise_sigma_clean
         assert deg_cal.params.noise_sigma_clean == clean_cal.params.noise_sigma_clean
+
+    @pytest.mark.parametrize(
+        "trials, block",
+        [(1000, None), (4095, None), (8192, None), (12_345, None), (12_345, 1000)],
+    )
+    def test_block_draw_matches_one_shot_draw(self, monkeypatch, trials, block):
+        if block is not None:
+            monkeypatch.setattr(simulator, "_DRAW_BLOCK_ROWS", block)
+        m, seed, target = 20, 3, 0.8
+        cal = calibrate(target, _params(m=m), trials=trials, seed=seed)
+        # the bisection of calibrate's docstring on one (trials, m) draw
+        z = np.random.default_rng(seed).standard_normal((trials, m))
+        margin = np.sort(z[:, 1:].max(axis=1) - z[:, 0])
+        log_lo, log_hi = np.log(1e-4), np.log(1e4)
+        for _ in range(simulator.MAX_BISECTION_STEPS):
+            log_mid = 0.5 * (log_lo + log_hi)
+            sigma = float(np.exp(log_mid))
+            achieved = float(np.searchsorted(margin, 1.0 / sigma) / trials)
+            if abs(achieved - target) <= simulator.CALIBRATION_TOLERANCE:
+                break
+            log_lo, log_hi = (log_mid, log_hi) if achieved > target else (log_lo, log_mid)
+        assert (cal.sigma, cal.achieved) == (sigma, achieved)
+
+    @pytest.mark.parametrize("trials", [20_000, 100_000])
+    def test_memory_does_not_grow_with_classes_times_trials(self, trials):
+        params = _params(m=87)
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            calibrate(0.9, params, trials=trials, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 4096 x 87 block of normals is 2.85 MB, 100,000 margins 0.8 MB;
+        # the whole (trials, 87) draw would be 13.9 MB and 69.6 MB
+        assert peak < 5e6
 
     def test_accuracy_declines_with_sigma(self):
         rng = np.random.default_rng(8)
