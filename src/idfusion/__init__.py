@@ -2,12 +2,9 @@
 
 from .core import (
     ConfidenceMatrix,
-    DegenerateVectorWarning,
     PairedDataset,
     RankedPrediction,
     ValidationError,
-    minmax_normalize,
-    minmax_normalize_rows,
     rank_top_n,
 )
 from .ecg import (

@@ -1,16 +1,18 @@
-"""Shared domain types and ranking/normalization primitives.
+"""Shared domain types, the ingestion kernel and the ranking primitive.
 
 Everything downstream (subject scoring, fusion, evaluation) works on
 per-sample confidence vectors: one float per enrolled subject, rescaled
 into [0, 1] at ingestion so that scores from different models are
-commensurate. This module owns that contract plus the deterministic
-ranking used everywhere a "top n predictions" notion appears, and the
-line reader every text input format is parsed from.
+commensurate. :func:`as_confidence_vector` is the one place that decides
+what a confidence row is and how a raw score row becomes one; a constant
+raw row ranks no class and is an error, in the library as in the CLI.
+This module also owns the deterministic ranking used everywhere a "top n
+predictions" notion appears, and the line reader every text input format
+is parsed from.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,15 +21,12 @@ import numpy as np
 
 __all__ = [
     "ValidationError",
-    "DegenerateVectorWarning",
     "RankedPrediction",
     "ConfidenceMatrix",
     "PairedDataset",
     "as_confidence_vector",
     "as_label_vector",
     "rank_top_n",
-    "minmax_normalize",
-    "minmax_normalize_rows",
     "descending_order",
     "read_lines",
 ]
@@ -35,10 +34,6 @@ __all__ = [
 
 class ValidationError(ValueError):
     """Input data violates a documented contract (bad shape, range, or value)."""
-
-
-class DegenerateVectorWarning(UserWarning):
-    """A constant vector was normalized; the result carries no ranking information."""
 
 
 def read_lines(path, what: str, comment: str | None = "#") -> tuple[list[str], Callable[[int], str]]:
@@ -63,14 +58,15 @@ def read_lines(path, what: str, comment: str | None = "#") -> tuple[list[str], C
 
 
 def as_confidence_vector(
-    values, *, name: str = "confidence vector", ndim: int = 1
+    values, *, name: str = "confidence vector", ndim: int = 1, normalize: bool = False
 ) -> np.ndarray:
     """Validate and return float64 confidence vectors, one per row of the last axis.
 
     ``ndim`` is 1 for a single vector and 2 for an N x M matrix of them.
-    Requires at least 2 classes, finite entries, and values already inside
-    [0, 1] (ingestion normalization is the caller's job; see
-    ``minmax_normalize``).
+    Requires at least 2 classes and finite entries. With ``normalize`` each
+    raw row is min-max rescaled into [0, 1] as ``(v - lo) / (hi - lo)``, and
+    a constant row, which ranks no class, is an error; without it the
+    values must already lie inside [0, 1].
     """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != ndim:
@@ -79,6 +75,12 @@ def as_confidence_vector(
         raise ValidationError(f"{name} needs at least 2 classes, got {v.shape[-1]}")
     if not np.all(np.isfinite(v)):
         raise ValidationError(f"{name} contains NaN or infinite entries")
+    if normalize:
+        lo = v.min(axis=-1, keepdims=True)
+        span = v.max(axis=-1, keepdims=True) - lo
+        if np.any(span == 0.0):
+            raise ValidationError(f"{name} has a constant row, which ranks no class")
+        return (v - lo) / span
     if v.size and (v.min() < 0.0 or v.max() > 1.0):
         raise ValidationError(
             f"{name} has values outside [0, 1] (min={v.min()}, max={v.max()}); "
@@ -87,8 +89,11 @@ def as_confidence_vector(
     return v
 
 
-def as_label_vector(labels, num_classes: int, *, name: str = "labels") -> np.ndarray:
-    """Validate and return a 1-D int64 label vector with entries in [0, num_classes)."""
+def as_label_vector(labels, num_classes: int | None = None, *, name: str = "labels") -> np.ndarray:
+    """Validate and return a 1-D int64 label vector with entries in [0, num_classes).
+
+    Without ``num_classes`` any non-negative integer label is accepted.
+    """
     y = np.asarray(labels)
     if y.ndim != 1:
         raise ValidationError(f"{name} must be 1-D, got shape {y.shape}")
@@ -101,10 +106,9 @@ def as_label_vector(labels, num_classes: int, *, name: str = "labels") -> np.nda
         y = yf.astype(np.int64)
     else:
         y = y.astype(np.int64)
-    if y.min() < 0 or y.max() >= num_classes:
-        raise ValidationError(
-            f"{name} out of range [0, {num_classes}): min={y.min()}, max={y.max()}"
-        )
+    bound = np.inf if num_classes is None else num_classes
+    if y.min() < 0 or y.max() >= bound:
+        raise ValidationError(f"{name} out of range [0, {bound}): min={y.min()}, max={y.max()}")
     return y
 
 
@@ -149,44 +153,6 @@ def rank_top_n(values, n: int) -> RankedPrediction:
         indices=tuple(int(i) for i in order),
         values=tuple(float(v[i]) for i in order),
     )
-
-
-def minmax_normalize(values) -> np.ndarray:
-    """Affinely rescale one raw score vector into [0, 1]; see :func:`minmax_normalize_rows`."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValidationError(f"expected a 1-D vector, got shape {v.shape}")
-    if v.size < 2:
-        raise ValidationError(f"need at least 2 entries, got {v.size}")
-    return minmax_normalize_rows(v[None, :])[0]
-
-
-def minmax_normalize_rows(matrix) -> np.ndarray:
-    """Affinely rescale each row of a 2-D array of raw scores into [0, 1].
-
-    Constant rows carry no ranking information; they map to all zeros and
-    emit :class:`DegenerateVectorWarning` rather than failing, so bulk
-    ingestion can proceed while still flagging useless rows.
-    """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValidationError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError("cannot normalize scores with NaN or infinite entries")
-    lo = m.min(axis=1, keepdims=True)
-    hi = m.max(axis=1, keepdims=True)
-    span = hi - lo
-    degenerate = span[:, 0] == 0.0
-    if degenerate.any():
-        warnings.warn(
-            f"{int(degenerate.sum())} constant row(s) normalized to all zeros",
-            DegenerateVectorWarning,
-            stacklevel=2,
-        )
-        span = np.where(span == 0.0, 1.0, span)
-    out = (m - lo) / span
-    out[degenerate] = 0.0
-    return out
 
 
 @dataclass(frozen=True)

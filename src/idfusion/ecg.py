@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ValidationError, minmax_normalize, read_lines
+from .core import ValidationError, as_confidence_vector, read_lines
 
 __all__ = [
     "EcgSignal",
@@ -98,7 +98,7 @@ def normalize_amplitude(sig: EcgSignal) -> EcgSignal:
     s = sig.samples
     if s.min() == s.max():
         raise DegenerateSignalError("constant signal cannot be amplitude-normalized")
-    return replace(sig, samples=minmax_normalize(s))
+    return replace(sig, samples=as_confidence_vector(s, normalize=True))
 
 
 def zero_mean(sig: EcgSignal) -> EcgSignal:

@@ -74,9 +74,7 @@ def make_folds(labels, k: int, seed: int) -> FoldAssignment:
     offset keeps overall fold sizes balanced when classes don't divide
     evenly. Identical inputs and seed always give identical assignments.
     """
-    y = np.asarray(labels, dtype=np.int64)
-    if y.ndim != 1 or y.size == 0:
-        raise ValidationError("labels must be a nonempty 1-D array")
+    y = as_label_vector(labels)
     if k < 2:
         raise ValidationError("need at least 2 folds")
     num_classes = int(y.max()) + 1

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfidenceMatrix, PairedDataset, ValidationError, minmax_normalize_rows, read_lines
+from .core import ConfidenceMatrix, PairedDataset, ValidationError, as_confidence_vector, read_lines
 from .evaluation import ExperimentReport
 from .fusion import DifferenceVector, FusionModel
 
@@ -106,7 +106,7 @@ def load_score_matrix(path, normalize: bool = True) -> tuple[ConfidenceMatrix, n
     if flat.size:
         raise ValidationError(f"{where(int(flat[0]) + 1)}: constant score row ranks no class")
     if normalize:
-        values = minmax_normalize_rows(values)
+        values = as_confidence_vector(values, ndim=2, normalize=True)
     return ConfidenceMatrix(values=values, sample_ids=tuple(ids), modality=modality), y
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ConfidenceMatrix, PairedDataset, ValidationError, minmax_normalize_rows
+from .core import ConfidenceMatrix, PairedDataset, ValidationError, as_confidence_vector
 
 __all__ = [
     "GeneratorParams",
@@ -153,7 +153,7 @@ def _draw_rows(
     """``n`` normalized rows for ``true_label``; one (n, M) draw reads ``rng`` like n (M,) draws."""
     logits = rng.normal(0.0, params.sigma(degraded), (n, params.num_classes))
     logits[:, true_label] += params.true_class_mean
-    return minmax_normalize_rows(logits)
+    return as_confidence_vector(logits, ndim=2, normalize=True)
 
 
 def generate_dataset(

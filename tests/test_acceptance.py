@@ -18,7 +18,6 @@ import pytest
 
 import idfusion
 from idfusion.cli import main as cli_main
-from idfusion.core import minmax_normalize_rows
 from idfusion.ecg import EcgSignal, find_first_r_peak, normalize_amplitude, preprocess, zero_mean
 from idfusion.evaluation import (
     EvalConfig,

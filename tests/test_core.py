@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from idfusion.core import (
     ConfidenceMatrix,
-    DegenerateVectorWarning,
     PairedDataset,
     ValidationError,
-    minmax_normalize,
-    minmax_normalize_rows,
+    as_confidence_vector,
     rank_top_n,
 )
 from reference import rank_indices_reference
@@ -70,26 +68,44 @@ class TestRankTopN:
         assert tuple(perm[i] for i in base.indices) == moved.indices
 
 
+def rescale(values):
+    return as_confidence_vector(values, normalize=True)
+
+
+# no -0.0: which signed zero numpy's min returns for a row holding both is unspecified
+raw_floats = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False).map(lambda x: x + 0.0)
+raw_matrices = st.integers(min_value=2, max_value=12).flatmap(
+    lambda m: st.lists(
+        st.lists(raw_floats, min_size=m, max_size=m).filter(lambda row: min(row) < max(row)),
+        min_size=1,
+        max_size=8,
+    )
+)
+
+
 class TestMinmaxNormalize:
     def test_affine_rescale(self):
-        np.testing.assert_array_equal(minmax_normalize([2.0, 4.0, 3.0]), [0.0, 1.0, 0.5])
+        np.testing.assert_array_equal(rescale([2.0, 4.0, 3.0]), [0.0, 1.0, 0.5])
 
-    def test_constant_maps_to_zeros_with_warning(self):
-        with pytest.warns(DegenerateVectorWarning):
-            out = minmax_normalize([5.0, 5.0, 5.0])
-        np.testing.assert_array_equal(out, [0.0, 0.0, 0.0])
+    def test_constant_row_is_rejected(self):
+        with pytest.raises(ValidationError, match="constant row"):
+            rescale([5.0, 5.0, 5.0])
+        with pytest.raises(ValidationError, match="constant row"):
+            as_confidence_vector([[0.1, 0.2], [3.0, 3.0]], ndim=2, normalize=True)
+        # a flat row already inside [0, 1] is still a valid confidence vector
+        np.testing.assert_array_equal(as_confidence_vector([0.5, 0.5, 0.5]), [0.5, 0.5, 0.5])
 
     def test_negative_span(self):
-        np.testing.assert_array_equal(minmax_normalize([-1.0, 0.0, 3.0]), [0.0, 0.25, 1.0])
+        np.testing.assert_array_equal(rescale([-1.0, 0.0, 3.0]), [0.0, 0.25, 1.0])
 
     @pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf]])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValidationError):
-            minmax_normalize(bad)
+            rescale(bad)
 
     def test_rejects_too_short(self):
         with pytest.raises(ValidationError):
-            minmax_normalize([1.0])
+            rescale([1.0])
 
     @given(st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=2, max_size=15))
     @settings(max_examples=100)
@@ -97,15 +113,16 @@ class TestMinmaxNormalize:
         v = np.asarray(raw)
         if v.max() == v.min():
             v = v + np.linspace(0, 1, v.size)
-        once = minmax_normalize(v)
-        np.testing.assert_allclose(minmax_normalize(once), once, atol=1e-15)
+        once = rescale(v)
+        np.testing.assert_allclose(rescale(once), once, atol=1e-15)
 
-    def test_rows_variant_matches_vector_variant(self):
-        rng = np.random.default_rng(5)
-        m = rng.normal(size=(10, 6))
-        rows = minmax_normalize_rows(m)
-        for i in range(10):
-            np.testing.assert_array_equal(rows[i], minmax_normalize(m[i]))
+    @given(raw_matrices)
+    @settings(max_examples=200)
+    def test_matches_plain_python_per_row(self, rows):
+        want = np.array([[(x - min(row)) / (max(row) - min(row)) for x in row] for row in rows])
+        assert as_confidence_vector(rows, ndim=2, normalize=True).tobytes() == want.tobytes()
+        for row, expected in zip(rows, want):
+            assert rescale(row).tobytes() == expected.tobytes()
 
 
 class TestConfidenceMatrix:

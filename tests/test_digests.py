@@ -5,10 +5,13 @@ the same change and says so; an optimisation that alters one is a bug.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from idfusion.cli import EXIT_OK, main
+
+DATA = Path(__file__).parent / "data"
 
 # simulate --preset desk --seed 0 --format structured --dump-scores --save-model
 SIMULATE_DESK_SEED0 = {
@@ -38,3 +41,72 @@ def test_simulate_desk_outputs_are_pinned(tmp_path, scenario):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in SIMULATE_DESK_SEED0[scenario]}
     assert got == SIMULATE_DESK_SEED0[scenario]
+
+
+# The fixtures in tests/data: a raw 6-class score pair (30 samples, labels
+# 1-based, ECG rows in another order), a pair already in [0, 1] (0-based),
+# the model `evaluate --save-model` trains on the raw pair, and one ECG
+# recording as 512 Hz text and as 128 Hz time,value CSV.
+RAW = ["--face", "{data}/face_raw.csv", "--ecg", "{data}/ecg_raw.csv", "--folds", "5"]
+UNIT = ["--face", "{data}/face_unit.csv", "--ecg", "{data}/ecg_unit.csv", "--folds", "5", "--no-normalize"]
+FUSE = ["fuse", "--model", "{data}/model.json"]
+
+# case -> (arguments, sha256 of the one file they name under {tmp}, or of stdout if none)
+CLI_OUTPUTS = {
+    "evaluate-text": (
+        ["evaluate", *RAW, "--out", "{tmp}/report.txt"],
+        "86a480f625e8964437fe8e5f5c3f2c0e730f5d25446f3f5372f29871d1c43c8e",
+    ),
+    "evaluate-structured": (
+        ["evaluate", *RAW, "--format", "structured", "--out", "{tmp}/report.json"],
+        "19462b4127e12883bafe103d0d0d68cc646db0b70cdc8d0b990e57722d8d5ac8",
+    ),
+    "evaluate-save-model": (
+        ["evaluate", *RAW, "--save-model", "{tmp}/model.json"],
+        "a9cdd1669836beff3319f483b73d3eecbe83cc8fb05c4da70ab844c5021bb87b",
+    ),
+    "evaluate-no-normalize-text": (
+        ["evaluate", *UNIT, "--out", "{tmp}/report.txt"],
+        "f86802528b31fb0fc184a6d6207174b78ba4ab5682a73af4fc2e8fc5d3e7d8e0",
+    ),
+    "evaluate-no-normalize-structured": (
+        ["evaluate", *UNIT, "--format", "structured", "--out", "{tmp}/report.json"],
+        "60e86ee47bac9df8739550dee8427b7729e2fbeb3941e9ee5066b16ca176813b",
+    ),
+    "fuse-face-led": (
+        [*FUSE, "--face", "0.1,0.9,0.3,0.2,0.4,0.5", "--ecg", "0.2,0.3,0.8,0.1,0.0,0.6"],
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    ),
+    "fuse-ecg-led": (
+        [*FUSE, "--face", "0.7,0.1,0.1,0.65,0.2,0.3", "--ecg", "0.1,0.2,0.3,0.9,0.2,0.1"],
+        "1121cfccd5913f0a63fec40a6ffd44ea64f9dc135c66634ba001d10bcf4302a2",
+    ),
+    # flat in both modalities: the fused sum ties everywhere and the lower-index rule picks 0
+    "fuse-flat": (
+        [*FUSE, "--face", "0.5,0.5,0.5,0.5,0.5,0.5", "--ecg", "0.5,0.5,0.5,0.5,0.5,0.5"],
+        "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa",
+    ),
+    "prep-ecg-txt": (
+        ["prep-ecg", "--in", "{data}/ecg_recording.txt", "--duration", "1", "--out", "{tmp}/window.txt"],
+        "3b8bd04670b75b6b4b5806851c973b509733fb2754dba42fc9b52e8f3bcab7e3",
+    ),
+    "prep-ecg-csv": (
+        ["prep-ecg", "--in", "{data}/ecg_recording.csv", "--duration", "2", "--out", "{tmp}/window.csv"],
+        "a483d285d7f338b6e0cb32a234e2b49da6fab970eeed515970b1634ffca20a1e",
+    ),
+    "calibrate": (
+        ["calibrate", "--target", "0.6", "--classes", "5", "--trials", "2000", "--seed", "0",
+         "--out", "{tmp}/calibration.json"],
+        "9771068bd4d21438e93fc49857bf6d4e1a59950926ca6aef8beacfccfba7e1ac",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_OUTPUTS))
+def test_cli_outputs_are_pinned(tmp_path, capsys, case):
+    args, digest = CLI_OUTPUTS[case]
+    argv = [a.format(data=DATA, tmp=tmp_path) for a in args]
+    assert main(argv) == EXIT_OK
+    written = [Path(a.format(tmp=tmp_path)) for a in args if a.startswith("{tmp}")]
+    out = written[0].read_bytes() if written else capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest

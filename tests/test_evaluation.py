@@ -68,6 +68,16 @@ class TestMakeFolds:
         with pytest.raises(ValidationError, match="class 1"):
             make_folds([0, 0, 0, 1, 1], k=3, seed=0)
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [([0.5, 0.7, 1.2, 1.9] * 3, "labels must contain integers"),
+         ([0, 0, 1, 1, -1, -1], r"labels out of range \[0, inf\): min=-1")],
+        ids=["fractional", "negative"],
+    )
+    def test_labels_must_be_non_negative_integers(self, labels, message):
+        with pytest.raises(ValidationError, match=message):
+            make_folds(labels, k=2, seed=0)
+
     def test_stratification_within_one_on_uneven_classes(self):
         rng = np.random.default_rng(4)
         labels = np.concatenate([np.full(n, c) for c, n in enumerate([11, 7, 23, 9])])

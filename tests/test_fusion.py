@@ -187,6 +187,13 @@ class TestPredictFused:
                 assert np.argmax(moved) == np.argmax(base[perm])
             assert predict_fused(cf, ce, model) == np.argmax(base)
 
+    def test_flat_rows_tie_and_go_to_class_zero(self):
+        # (0.5 - d) / 2 + (0.5 + d) / 2 rounds to 0.5 for every d, so the lower-index rule decides
+        rng = np.random.default_rng(13)
+        for m in (2, 7, 87):
+            model = FusionModel(difference=normalize_difference(rng.normal(size=m), bound=0.2))
+            assert predict_fused([0.5] * m, [0.5] * m, model) == 0
+
     def test_scale_sensitivity_is_real(self):
         # rescaling one modality's confidences can change the decision,
         # which is why ingestion normalization matters

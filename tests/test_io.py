@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idfusion.core import ConfidenceMatrix, ValidationError, minmax_normalize_rows
+from idfusion.core import ConfidenceMatrix, ValidationError, as_confidence_vector
 from idfusion.ecg import read_signal
 from idfusion.evaluation import EvalConfig, run_experiment, train_fusion_model
 from idfusion.fusion import FusionModel, normalize_difference, predict_fused
@@ -333,7 +333,7 @@ def test_loader_matches_plain_reader(lines):
         matrix, y = load_score_matrix(path)
         assert matrix.sample_ids == ids
         assert y.tolist() == labels
-        assert matrix.values.tobytes() == minmax_normalize_rows(raw).tobytes()
+        assert matrix.values.tobytes() == as_confidence_vector(raw, ndim=2, normalize=True).tobytes()
         if raw.max() <= 1.0:
             assert load_score_matrix(path, normalize=False)[0].values.tobytes() == raw.tobytes()
 
