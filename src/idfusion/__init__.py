@@ -1,12 +1,6 @@
 """Two-modality identification fusion: scoring, evaluation, and simulation."""
 
-from .core import (
-    ConfidenceMatrix,
-    PairedDataset,
-    RankedPrediction,
-    ValidationError,
-    rank_top_n,
-)
+from .core import ConfidenceMatrix, PairedDataset, ValidationError
 from .ecg import (
     DegenerateSignalError,
     EcgSignal,

@@ -1,4 +1,4 @@
-"""Shared domain types, the ingestion kernel and the ranking primitive.
+"""Shared domain types, the ingestion kernel and the line reader.
 
 Everything downstream (subject scoring, fusion, evaluation) works on
 per-sample confidence vectors: one float per enrolled subject, rescaled
@@ -6,9 +6,8 @@ into [0, 1] at ingestion so that scores from different models are
 commensurate. :func:`as_confidence_vector` is the one place that decides
 what a confidence row is and how a raw score row becomes one; a constant
 raw row ranks no class and is an error, in the library as in the CLI.
-This module also owns the deterministic ranking used everywhere a "top n
-predictions" notion appears, and the line reader every text input format
-is parsed from.
+This module also owns the line reader every text input format is parsed
+from.
 """
 
 from __future__ import annotations
@@ -21,13 +20,10 @@ import numpy as np
 
 __all__ = [
     "ValidationError",
-    "RankedPrediction",
     "ConfidenceMatrix",
     "PairedDataset",
     "as_confidence_vector",
     "as_label_vector",
-    "rank_top_n",
-    "descending_order",
     "read_lines",
 ]
 
@@ -100,59 +96,16 @@ def as_label_vector(labels, num_classes: int | None = None, *, name: str = "labe
     if y.size == 0:
         raise ValidationError(f"{name} is empty")
     if not np.issubdtype(y.dtype, np.integer):
-        yf = np.asarray(labels, dtype=np.float64)
-        if not np.all(yf == np.floor(yf)):
+        y = np.asarray(labels, dtype=np.float64)
+        if not np.all(y == np.floor(y)):
             raise ValidationError(f"{name} must contain integers")
-        y = yf.astype(np.int64)
-    else:
-        y = y.astype(np.int64)
+    # check the given values, before the cast can wrap them
     bound = np.inf if num_classes is None else num_classes
     if y.min() < 0 or y.max() >= bound:
         raise ValidationError(f"{name} out of range [0, {bound}): min={y.min()}, max={y.max()}")
-    return y
-
-
-def descending_order(values: np.ndarray) -> np.ndarray:
-    """Indices sorting each row (last axis) in descending order, ties to the lower index."""
-    # stable sort of the negated values keeps original order among equals,
-    # which is exactly the lowest-index-first tie rule
-    return np.argsort(-np.asarray(values, dtype=np.float64), axis=-1, kind="stable")
-
-
-@dataclass(frozen=True)
-class RankedPrediction:
-    """Top-n class indices and their scores, best first."""
-
-    indices: tuple[int, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.indices) != len(self.values):
-            raise ValidationError("indices and values must have equal length")
-        if len(set(self.indices)) != len(self.indices):
-            raise ValidationError("ranked indices must be distinct")
-        if any(a < b for a, b in zip(self.values, self.values[1:])):
-            raise ValidationError("ranked values must be non-increasing")
-
-    @property
-    def top(self) -> int:
-        return self.indices[0]
-
-
-def rank_top_n(values, n: int) -> RankedPrediction:
-    """Return the ``n`` highest-scoring class indices, best first.
-
-    Ties are broken toward the lower class index so the ranking is
-    deterministic and reproducible across runs.
-    """
-    v = as_confidence_vector(values)
-    if not 1 <= n <= v.size:
-        raise ValidationError(f"rank depth {n} out of range [1, {v.size}]")
-    order = descending_order(v)[:n]
-    return RankedPrediction(
-        indices=tuple(int(i) for i in order),
-        values=tuple(float(v[i]) for i in order),
-    )
+    if y.max() >= 2**63:
+        raise ValidationError(f"{name} exceed the int64 range: max={y.max()}")
+    return y.astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,6 @@ class EvalConfig:
 
     bound: float = DEFAULT_BOUND
     rank_depth: int = ScoringConfig.rank_depth
-    clamp_floor: float = ScoringConfig.clamp_floor
     scenario: str = "unspecified"
 
 
@@ -188,7 +187,6 @@ def _fit(face, ecg, y_train, ranks_train, cfg: EvalConfig) -> FusionModel:
     scoring_cfg = ScoringConfig(
         samples_per_class=y_train.size / face.num_classes,
         rank_depth=cfg.rank_depth,
-        clamp_floor=cfg.clamp_floor,
     )
     s_face = _clamped_scores(*ranks_train[0], y_train, face.num_classes, scoring_cfg)
     s_ecg = _clamped_scores(*ranks_train[1], y_train, ecg.num_classes, scoring_cfg)

@@ -47,7 +47,8 @@ def load_score_matrix(path, normalize: bool = True) -> tuple[ConfidenceMatrix, n
     Labels are 0-based or start at another base ``b``; the base must be the
     only ``b >= 0`` that puts every label in ``[b, b + M)``, and labels are
     remapped to 0-based indices. With ``normalize`` (the default) every row
-    is min-max rescaled; disable it for files that are already in [0, 1].
+    is min-max rescaled; disable it for files that are already in [0, 1],
+    and a row outside [0, 1] is rejected with its line.
     A constant row is rejected in both modes: its argmax would silently be
     class 0. So is a row with a NaN or infinite confidence. A sample id may
     start with ``#``: score files have no comments.
@@ -107,6 +108,10 @@ def load_score_matrix(path, normalize: bool = True) -> tuple[ConfidenceMatrix, n
         raise ValidationError(f"{where(int(flat[0]) + 1)}: constant score row ranks no class")
     if normalize:
         values = as_confidence_vector(values, ndim=2, normalize=True)
+    else:
+        bad = np.nonzero(((values < 0.0) | (values > 1.0)).any(axis=1))[0]
+        if bad.size:
+            raise ValidationError(f"{where(int(bad[0]) + 1)}: confidence outside [0, 1] without normalization")
     return ConfidenceMatrix(values=values, sample_ids=tuple(ids), modality=modality), y
 
 
@@ -264,17 +269,29 @@ def save_fusion_model(model: FusionModel, path) -> None:
     Path(path).write_text(json_text(doc))
 
 
+def _is_number(x) -> bool:
+    """A JSON number: an int or a float, not a bool and not a numeric string."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def load_fusion_model(path) -> FusionModel:
     try:
         doc = json.loads(Path(path).read_text())
-        order = tuple(doc["modality_order"])
-        values = np.asarray(doc["difference"], dtype=np.float64)
-        bound = float(doc["bound"])
+        order, bound, difference = doc["modality_order"], doc["bound"], doc["difference"]
+        if not (isinstance(order, list) and len(order) == 2 and all(isinstance(m, str) for m in order)):
+            raise TypeError("modality_order must be a list of two strings")
+        if not _is_number(bound):
+            raise TypeError("bound must be a number")
+        if not (isinstance(difference, list) and all(map(_is_number, difference))):
+            raise TypeError("difference must be a list of numbers")
+        values = np.asarray(difference, dtype=np.float64)
+        bound = float(bound)
     except OSError as exc:
         raise ValidationError(f"cannot read model {path}: {exc}") from exc
-    except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad UTF-8, JSON or number
+    # ValueError: bad UTF-8 or JSON; OverflowError: an integer too large for a float
+    except (ValueError, OverflowError, KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: not a fusion model file: {exc}") from exc
-    return FusionModel(difference=DifferenceVector(values=values, bound=bound), modality_order=order)
+    return FusionModel(difference=DifferenceVector(values=values, bound=bound), modality_order=tuple(order))
 
 
 # -- flat key-value config files ----------------------------------------

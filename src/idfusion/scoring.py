@@ -8,13 +8,13 @@ samples, how decisively the model identifies that subject:
   between the top prediction and the true one;
 * a true subject outside the top rank_depth earns nothing;
 * whichever subject the model (wrongly) put on top is penalized by that
-  same gap, and its running score is clamped at the floor immediately.
+  same gap, and its running score is clamped at zero immediately.
 
 The final vector is divided by the per-class sample count so a perfectly
 identified subject scores exactly 1.0 on a balanced training set.
 
 The clamp makes the loop stateful: the running score of a frequently
-confused subject saturates at the floor instead of going arbitrarily
+confused subject saturates at zero instead of going arbitrarily
 negative, so samples must be consumed in their given order.
 """
 
@@ -47,7 +47,6 @@ class ScoringConfig:
 
     samples_per_class: float
     rank_depth: int = 5
-    clamp_floor: float = 0.0
 
     def __post_init__(self):
         if self.samples_per_class <= 0:
@@ -122,7 +121,6 @@ def _clamped_scores(gaps, top, labels, num_classes: int, cfg: ScoringConfig) -> 
         )
 
     scores = [0.0] * num_classes
-    floor = cfg.clamp_floor
     # Input order is part of the contract: the clamp couples consecutive
     # updates to the same subject, so this loop must not be reordered.
     for i in range(labels.size):
@@ -130,8 +128,8 @@ def _clamped_scores(gaps, top, labels, num_classes: int, cfg: ScoringConfig) -> 
         scores[labels[i]] += 1.0 - d
         p = top[i]
         scores[p] -= d
-        if scores[p] < floor:
-            scores[p] = floor
+        if scores[p] < 0.0:
+            scores[p] = 0.0
     return np.asarray(scores, dtype=np.float64) / cfg.samples_per_class
 
 

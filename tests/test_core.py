@@ -1,4 +1,9 @@
-"""Ranking and normalization primitives plus the shared container types."""
+"""The ingestion kernel, label checks and the shared container types.
+
+Ranking is tested in test_scoring.py, where its one kernel lives.
+"""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -10,62 +15,8 @@ from idfusion.core import (
     PairedDataset,
     ValidationError,
     as_confidence_vector,
-    rank_top_n,
+    as_label_vector,
 )
-from reference import rank_indices_reference
-
-unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-unit_vectors = st.lists(unit_floats, min_size=2, max_size=20).map(np.asarray)
-
-
-class TestRankTopN:
-    def test_direct_ordering(self):
-        r = rank_top_n([0.1, 0.9, 0.5], 2)
-        assert r.indices == (1, 2)
-        assert r.values == (0.9, 0.5)
-
-    def test_tie_goes_to_lower_index(self):
-        r = rank_top_n([0.5, 0.5, 0.1], 1)
-        assert r.indices == (0,)
-        assert r.values == (0.5,)
-
-    def test_five_of_six(self):
-        v = [0.2, 0.4, 0.6, 0.8, 0.9, 0.95]
-        r = rank_top_n(v, 5)
-        assert list(r.indices) == rank_indices_reference(v, 5)
-        assert r.indices == (5, 4, 3, 2, 1)
-
-    @pytest.mark.parametrize("n", [0, 4, -1])
-    def test_depth_out_of_range(self, n):
-        with pytest.raises(ValidationError):
-            rank_top_n([0.1, 0.2, 0.3], n)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValidationError):
-            rank_top_n([0.5, 1.5], 1)
-
-    @given(unit_vectors)
-    def test_full_ranking_matches_brute_force(self, v):
-        r = rank_top_n(v, v.size)
-        assert list(r.indices) == rank_indices_reference(v, v.size)
-        assert sorted(r.indices) == list(range(v.size))
-        assert list(r.values) == sorted(v.tolist(), reverse=True)
-
-    @given(unit_vectors, st.randoms(use_true_random=False))
-    @settings(max_examples=50)
-    def test_permutation_equivariance(self, v, rnd):
-        # distinct values keep the ranking unambiguous under relabeling
-        v = np.unique(v)
-        if v.size < 2:
-            v = np.array([0.25, 0.75])
-        perm = list(range(v.size))
-        rnd.shuffle(perm)
-        perm = np.asarray(perm)
-        permuted = np.empty_like(v)
-        permuted[perm] = v  # class i moves to slot perm[i]
-        base = rank_top_n(v, v.size)
-        moved = rank_top_n(permuted, v.size)
-        assert tuple(perm[i] for i in base.indices) == moved.indices
 
 
 def rescale(values):
@@ -123,6 +74,24 @@ class TestMinmaxNormalize:
         assert as_confidence_vector(rows, ndim=2, normalize=True).tobytes() == want.tobytes()
         for row, expected in zip(rows, want):
             assert rescale(row).tobytes() == expected.tobytes()
+
+
+class TestAsLabelVector:
+    @pytest.mark.parametrize(
+        "labels, num_classes, message",
+        [([0, 0, 1e30, 1e30], 5, r"labels out of range \[0, 5\): min=0.0, max=1e\+30"),
+         ([0, 0, np.inf, 1], 5, r"labels out of range \[0, 5\): min=0.0, max=inf"),
+         ([0, 0, np.inf, 1], None, r"labels out of range \[0, inf\): min=0.0, max=inf"),
+         ([0, 0, 1e30, 1e30], None, r"labels exceed the int64 range: max=1e\+30"),
+         (np.array([0, 2**63], dtype=np.uint64), None, r"labels exceed the int64 range: max=9223372036854775808")],
+        ids=["huge", "inf", "inf-unbounded", "huge-unbounded", "uint64-unbounded"],
+    )
+    def test_range_is_checked_before_the_cast(self, labels, num_classes, message):
+        # the int64 cast of a huge float warns and wraps, and would name a label nobody gave
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                as_label_vector(labels, num_classes)
 
 
 class TestConfidenceMatrix:

@@ -29,18 +29,57 @@ SIMULATE_DESK_SEED0 = {
     },
 }
 
+# the same outputs at --seed 1
+SIMULATE_DESK_SEED1 = {
+    "clean": {
+        "report.json": "39368da5239c07f6f01b9a78ffc6278023609784cd8f5103240f0bbe77fa5c48",
+        "face_scores.csv": "a4e71957b7764a7ae331a86651174580e4b0f6f2d76980501846d8b73ba764d4",
+        "ecg_scores.csv": "478f2aa3f60b745e13f552d7cb939827d815661ff1575eb78c101cfd550e23d8",
+        "model.json": "29f46755a2903deadd90733b13fb9471dffa48629037e101f20c309a4b1a8e34",
+    },
+    "degraded": {
+        "report.json": "fc5a231cf2aa55755c7bceca9823f2993bf62824486924cd20156dc732113806",
+        "face_scores.csv": "9473055c3a11668901d589b33b175de6f5d878a54db909394c8f589dbade7e2d",
+        "ecg_scores.csv": "12ad0918bb9b379a0b3598d11d154097e44d284e3d397db8676727f9547fa0c9",
+        "model.json": "0e87b877bf4976c87dcbc6bdee6fd40f130aba2b56bed9ed2ed97a9a96d49d02",
+    },
+}
 
-@pytest.mark.parametrize("scenario", sorted(SIMULATE_DESK_SEED0))
-def test_simulate_desk_outputs_are_pinned(tmp_path, scenario):
+# simulate --preset desk --seed 0, text report
+SIMULATE_DESK_SEED0_TEXT = {
+    "clean": "e9eeedd10e3037125912ef12288c9a37b46639b9d4ba984a5497690a79ed6ee0",
+    "degraded": "76f246107f2f3feec0273daaabc136e6b92c54d1830e39f2a0f644d28c3f951f",
+}
+
+
+def _simulate_desk(tmp_path, scenario: str, seed: int, expected: dict[str, str]) -> None:
     code = main([
-        "simulate", "--preset", "desk", "--scenario", scenario, "--seed", "0",
+        "simulate", "--preset", "desk", "--scenario", scenario, "--seed", str(seed),
         "--format", "structured", "--out", str(tmp_path / "report.json"),
         "--dump-scores", str(tmp_path), "--save-model", str(tmp_path / "model.json"),
     ])
     assert code == EXIT_OK
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-           for name in SIMULATE_DESK_SEED0[scenario]}
-    assert got == SIMULATE_DESK_SEED0[scenario]
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected}
+    assert got == expected
+
+
+@pytest.mark.parametrize("scenario", sorted(SIMULATE_DESK_SEED0))
+def test_simulate_desk_outputs_are_pinned(tmp_path, scenario):
+    _simulate_desk(tmp_path, scenario, 0, SIMULATE_DESK_SEED0[scenario])
+
+
+@pytest.mark.parametrize("scenario", sorted(SIMULATE_DESK_SEED1))
+def test_simulate_desk_seed1_outputs_are_pinned(tmp_path, scenario):
+    _simulate_desk(tmp_path, scenario, 1, SIMULATE_DESK_SEED1[scenario])
+
+
+@pytest.mark.parametrize("scenario", sorted(SIMULATE_DESK_SEED0_TEXT))
+def test_simulate_desk_text_report_is_pinned(tmp_path, scenario):
+    report = tmp_path / "report.txt"
+    code = main(["simulate", "--preset", "desk", "--scenario", scenario, "--seed", "0",
+                 "--out", str(report)])
+    assert code == EXIT_OK
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == SIMULATE_DESK_SEED0_TEXT[scenario]
 
 
 # The fixtures in tests/data: a raw 6-class score pair (30 samples, labels

@@ -199,7 +199,7 @@ class TestRunExperiment:
             ConfidenceMatrix(tied_scores(0.4), ids, "ecg"),
             labels,
         )
-        cfg = EvalConfig(clamp_floor=0.05, rank_depth=3)
+        cfg = EvalConfig(rank_depth=3)
         k, seed = 4, 3
         fa = make_folds(ds.labels, k=k, seed=seed)
         report = run_experiment(ds, k=k, seed=seed, cfg=cfg)
@@ -208,7 +208,7 @@ class TestRunExperiment:
             face_tr, ecg_tr, y_tr = ds.face.take(tr), ds.ecg.take(tr), ds.labels[tr]
             model = train_fusion_model(face_tr, ecg_tr, y_tr, cfg)
             # the fit itself matches compute_subject_scores, which is checked against the reference
-            scoring = ScoringConfig(y_tr.size / ds.num_classes, rank_depth=3, clamp_floor=0.05)
+            scoring = ScoringConfig(y_tr.size / ds.num_classes, rank_depth=3)
             raw = difference_vector(
                 compute_subject_scores(ecg_tr, y_tr, scoring),
                 compute_subject_scores(face_tr, y_tr, scoring),

@@ -164,6 +164,16 @@ class TestScoreFiles:
         with pytest.raises(ValidationError, match="nan.csv:3: NaN or infinite confidence"):
             load_score_matrix(path, normalize=normalize)
 
+    @pytest.mark.parametrize("row", ["0.5,1.5", "-0.1,0.5"])
+    def test_out_of_range_confidence_names_line_without_normalization(self, tmp_path, row):
+        path = _write(
+            tmp_path / "unit.csv",
+            ["sample_id,true_label,face_0,face_1", "a,0,0.9,0.1", f"b,1,{row}", "c,0,0.7,2.0"],
+        )
+        with pytest.raises(ValidationError, match=r"unit.csv:3: confidence outside \[0, 1\]"):
+            load_score_matrix(path, normalize=False)
+        load_score_matrix(path)  # normalizing rescales the same rows into [0, 1]
+
     @pytest.mark.parametrize(
         "labels, message",
         [
@@ -396,8 +406,14 @@ class TestFusionModelFiles:
             b"not json",
             b'{"modality_order": ["face", "ecg"], "bound": 0.1, "difference": ["x", 0.1]}',
             b'{"modality_order": ["face\xff", "ecg"], "bound": 0.1, "difference": [0.0, 0.1]}',
+            b'{"modality_order": "fe", "bound": 0.1, "difference": [0.0, 0.1]}',
+            b'{"modality_order": ["face", "ecg"], "bound": "0.1", "difference": [0.0, 0.1]}',
+            b'{"modality_order": ["face", "ecg"], "bound": 0.1, "difference": ["0.0", 0.1]}',
+            b'{"modality_order": ["face", "ecg"], "bound": 0.1, "difference": [false, 0.1]}',
+            b'{"modality_order": ["face", "ecg"], "bound": 1' + b"0" * 400 + b', "difference": [0.1]}',
         ],
-        ids=["not-json", "non-number", "not-utf8"],
+        ids=["not-json", "non-number", "not-utf8", "string-order", "string-bound",
+             "numeric-string-entry", "boolean-entry", "huge-integer-bound"],
     )
     def test_garbage_file_rejected(self, tmp_path, content):
         path = tmp_path / "model.json"
