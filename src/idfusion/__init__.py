@@ -19,7 +19,6 @@ from .evaluation import (
     FoldAssignment,
     FoldResult,
     accuracy,
-    evaluate_fold,
     make_folds,
     run_experiment,
     train_fusion_model,
@@ -29,14 +28,10 @@ from .fusion import (
     DifferenceVector,
     FusionModel,
     compute_baseline_weights,
-    difference_vector,
-    final_score,
-    fused_scores,
     normalize_difference,
     predict_fused,
-    predict_weighted_sum,
 )
-from .scoring import ScoringConfig, compute_subject_scores, conf_diff
+from .scoring import compute_subject_scores
 from .simulator import (
     CalibrationError,
     DegradationScenario,
@@ -46,7 +41,6 @@ from .simulator import (
     calibrate_clean_regime,
     calibrate_degraded_regime,
     generate_dataset,
-    generate_sample,
 )
 
 __version__ = "0.1.0"

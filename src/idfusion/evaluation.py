@@ -18,13 +18,13 @@ from .core import ConfidenceMatrix, PairedDataset, ValidationError, as_label_vec
 from .fusion import (
     DEFAULT_BOUND,
     FusionModel,
+    _check_aligned,
     compute_baseline_weights,
-    difference_vector,
     normalize_difference,
     predict_fused_batch,
     predict_weighted_sum_batch,
 )
-from .scoring import ScoringConfig, _clamped_scores, _gaps_and_predictions, _training_set
+from .scoring import DEFAULT_RANK_DEPTH, _clamped_scores, _gaps_and_predictions, _training_set
 
 __all__ = [
     "FoldAssignment",
@@ -36,7 +36,6 @@ __all__ = [
     "ExperimentReport",
     "make_folds",
     "accuracy",
-    "evaluate_fold",
     "train_fusion_model",
     "run_experiment",
 ]
@@ -99,7 +98,7 @@ class EvalConfig:
     """Experiment-level settings shared across folds."""
 
     bound: float = DEFAULT_BOUND
-    rank_depth: int = ScoringConfig.rank_depth
+    rank_depth: int = DEFAULT_RANK_DEPTH
     scenario: str = "unspecified"
 
 
@@ -184,15 +183,10 @@ def _ranked(face: ConfidenceMatrix, ecg: ConfidenceMatrix, labels, cfg: EvalConf
 
 def _fit(face, ecg, y_train, ranks_train, cfg: EvalConfig) -> FusionModel:
     """Subject scores -> difference vector, from the training rows' gaps and top predictions."""
-    scoring_cfg = ScoringConfig(
-        samples_per_class=y_train.size / face.num_classes,
-        rank_depth=cfg.rank_depth,
-    )
-    s_face = _clamped_scores(*ranks_train[0], y_train, face.num_classes, scoring_cfg)
-    s_ecg = _clamped_scores(*ranks_train[1], y_train, ecg.num_classes, scoring_cfg)
-    raw = difference_vector(s_ecg, s_face)
+    s_face = _clamped_scores(*ranks_train[0], y_train, face.num_classes)
+    s_ecg = _clamped_scores(*ranks_train[1], y_train, ecg.num_classes)
     return FusionModel(
-        difference=normalize_difference(raw, bound=cfg.bound),
+        difference=normalize_difference(s_ecg - s_face, bound=cfg.bound),
         modality_order=(face.modality, ecg.modality),
     )
 
@@ -236,24 +230,9 @@ def train_fusion_model(
     cfg: EvalConfig = EvalConfig(),
 ) -> FusionModel:
     """Fit the fusion rule (subject scores -> difference vector) on a training set."""
+    _check_aligned(face.values, ecg.values)
     y = as_label_vector(labels, face.num_classes)
     return _fit(face, ecg, y, _ranked(face, ecg, y, cfg), cfg)
-
-
-def evaluate_fold(
-    data_face: ConfidenceMatrix,
-    data_ecg: ConfidenceMatrix,
-    labels,
-    assignment: FoldAssignment,
-    fold_id: int,
-    cfg: EvalConfig = EvalConfig(),
-) -> FoldResult:
-    """Train on the fold's training portion, score all four systems on its test portion."""
-    y = as_label_vector(labels, data_face.num_classes)
-    if y.size != assignment.fold_of_sample.size:
-        raise ValidationError("fold assignment does not match the dataset size")
-    ranks = _ranked(data_face, data_ecg, y, cfg)
-    return _fold(data_face, data_ecg, y, ranks, assignment, fold_id, cfg)
 
 
 def run_experiment(

@@ -21,14 +21,10 @@ __all__ = [
     "DifferenceVector",
     "FusionModel",
     "BaselineWeights",
-    "difference_vector",
     "normalize_difference",
-    "fused_scores",
-    "final_score",
     "predict_fused",
     "predict_fused_batch",
     "compute_baseline_weights",
-    "predict_weighted_sum",
     "predict_weighted_sum_batch",
 ]
 
@@ -69,19 +65,6 @@ class DifferenceVector:
         return self.values.size
 
 
-def difference_vector(scores_plus, scores_minus) -> np.ndarray:
-    """Raw elementwise gap between two subject-score vectors.
-
-    Positive entries favor the first argument. For the face/ECG pairing
-    used throughout, call as ``difference_vector(s_ecg, s_face)``.
-    """
-    a = np.asarray(scores_plus, dtype=np.float64)
-    b = np.asarray(scores_minus, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValidationError(f"score vectors must be equal-length 1-D, got {a.shape} and {b.shape}")
-    return a - b
-
-
 def normalize_difference(raw, bound: float = DEFAULT_BOUND) -> DifferenceVector:
     """Rescale a raw difference vector so its peak magnitude equals ``bound``.
 
@@ -104,8 +87,9 @@ def normalize_difference(raw, bound: float = DEFAULT_BOUND) -> DifferenceVector:
 class FusionModel:
     """A trained fusion rule: the difference vector plus the modality order.
 
-    ``modality_order`` is (minus_tag, plus_tag): the first modality is
-    weighted by (0.5 - d), the second by (0.5 + d).
+    ``modality_order`` records the tags of the training files, as
+    (minus_tag, plus_tag). The decision kernels take face first: face
+    confidences are weighted by (0.5 - d), ECG confidences by (0.5 + d).
     """
 
     difference: DifferenceVector
@@ -119,48 +103,13 @@ class FusionModel:
     def num_classes(self) -> int:
         return len(self.difference)
 
-    def weights(self, modality: str) -> np.ndarray:
-        """Elementwise weight vector (0.5 -+ d) for the given modality tag."""
-        if modality not in self.modality_order:
-            raise ValidationError(f"unknown modality {modality!r}; model has {self.modality_order}")
-        return _weights(self.difference.values)[self.modality_order.index(modality)]
-
-
-def _weights(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-subject weights (0.5 - d, 0.5 + d) of the minus- and plus-side modality."""
-    return 0.5 - d, 0.5 + d
-
 
 def _check_aligned(face_values: np.ndarray, ecg_values: np.ndarray) -> None:
-    """The shape check shared by both batch decision kernels."""
+    """The shape check shared by both batch decision kernels and the fit."""
     if face_values.shape != ecg_values.shape:
         raise ValidationError(
             f"modality shapes differ: {face_values.shape} vs {ecg_values.shape}"
         )
-
-
-def fused_scores(confidences, diff: DifferenceVector, sign: int) -> np.ndarray:
-    """Reweight one modality's confidences by (0.5 + sign * d) elementwise.
-
-    ``sign`` is +1 for the modality the difference vector favors when
-    positive, -1 for the other one.
-    """
-    c = as_confidence_vector(confidences)
-    if sign not in (+1, -1):
-        raise ValidationError("sign must be +1 or -1")
-    d = diff.values
-    if c.shape != d.shape:
-        raise ValidationError(f"length mismatch: {c.size} confidences vs {d.size} differences")
-    return c * _weights(d)[0 if sign < 0 else 1]
-
-
-def final_score(f_first, f_second) -> np.ndarray:
-    """Elementwise sum of the two reweighted score vectors."""
-    a = np.asarray(f_first, dtype=np.float64)
-    b = np.asarray(f_second, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValidationError(f"fused vectors must be equal-length 1-D, got {a.shape} and {b.shape}")
-    return a + b
 
 
 def predict_fused(c_face, c_ecg, model: FusionModel) -> int:
@@ -178,8 +127,7 @@ def predict_fused_batch(face_values: np.ndarray, ecg_values: np.ndarray, model: 
         raise ValidationError(
             f"model has {d.size} classes but matrices have {face_values.shape[1]}"
         )
-    w_face, w_ecg = _weights(d)
-    total = face_values * w_face + ecg_values * w_ecg
+    total = face_values * (0.5 - d) + ecg_values * (0.5 + d)
     return np.argmax(total, axis=1)
 
 
@@ -205,13 +153,6 @@ def compute_baseline_weights(train_acc_face: float, train_acc_ecg: float) -> Bas
     if total == 0.0:
         raise ValidationError("cannot derive weights when both accuracies are zero")
     return BaselineWeights(w_face=train_acc_face / total, w_ecg=train_acc_ecg / total)
-
-
-def predict_weighted_sum(c_face, c_ecg, weights: BaselineWeights) -> int:
-    """Weighted-sum class decision for one sample; ties go to the lower index."""
-    a = as_confidence_vector(c_face)
-    b = as_confidence_vector(c_ecg)
-    return int(predict_weighted_sum_batch(a[None, :], b[None, :], weights)[0])
 
 
 def predict_weighted_sum_batch(

@@ -284,14 +284,14 @@ def load_fusion_model(path) -> FusionModel:
             raise TypeError("bound must be a number")
         if not (isinstance(difference, list) and all(map(_is_number, difference))):
             raise TypeError("difference must be a list of numbers")
-        values = np.asarray(difference, dtype=np.float64)
-        bound = float(bound)
+        difference = DifferenceVector(values=np.asarray(difference, dtype=np.float64), bound=float(bound))
+        return FusionModel(difference=difference, modality_order=tuple(order))
     except OSError as exc:
         raise ValidationError(f"cannot read model {path}: {exc}") from exc
-    # ValueError: bad UTF-8 or JSON; OverflowError: an integer too large for a float
+    # ValueError: bad UTF-8 or JSON, or a model the fusion types reject (ValidationError);
+    # OverflowError: an integer too large for a float
     except (ValueError, OverflowError, KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: not a fusion model file: {exc}") from exc
-    return FusionModel(difference=DifferenceVector(values=values, bound=bound), modality_order=tuple(order))
 
 
 # -- flat key-value config files ----------------------------------------

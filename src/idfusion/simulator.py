@@ -25,7 +25,6 @@ __all__ = [
     "CalibrationError",
     "CalibrationResult",
     "RegimeCalibration",
-    "generate_sample",
     "generate_dataset",
     "calibrate",
     "degraded_subpopulation_target",
@@ -129,18 +128,6 @@ class DegradationScenario:
             ecg_rule=SubjectRule(divisors=(7,)),
             name="degraded",
         )
-
-
-def generate_sample(
-    true_label: int,
-    degraded: bool,
-    params: GeneratorParams,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw one normalized confidence vector for a sample of ``true_label``."""
-    if not 0 <= true_label < params.num_classes:
-        raise ValidationError(f"true_label {true_label} out of range")
-    return _draw_rows(1, true_label, degraded, params, rng)[0]
 
 
 def _draw_rows(

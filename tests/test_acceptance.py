@@ -35,7 +35,7 @@ from idfusion.fusion import (
     predict_weighted_sum_batch,
 )
 from idfusion.io import load_paired_dataset, write_report
-from idfusion.scoring import ScoringConfig, compute_subject_scores
+from idfusion.scoring import compute_subject_scores
 from idfusion.simulator import (
     DEFAULT_CLEAN_TARGETS,
     DEFAULT_DEGRADED_TARGETS,
@@ -66,9 +66,7 @@ def test_criterion_1_scoring_matches_literal_reference():
         labels = rng.integers(0, m, n)
         spc = n / m
         depth = min(5, m)
-        got = compute_subject_scores(
-            conf, labels, ScoringConfig(samples_per_class=spc, rank_depth=depth)
-        )
+        got = compute_subject_scores(conf, labels, rank_depth=depth)
         want = np.asarray(subject_scores_reference(conf, labels, spc, depth))
         worst = max(worst, float(np.max(np.abs(got - want))))
         assert worst <= 1e-12
@@ -83,9 +81,7 @@ def test_criterion_1_scoring_matches_literal_reference():
 @pytest.mark.filterwarnings("ignore:unbalanced")
 def test_criterion_2_hand_trace_fixtures():
     # scoring fixture: every sample correct at rank 1
-    s1 = compute_subject_scores(
-        [[0.9, 0.1], [0.2, 0.8]], [0, 1], ScoringConfig(1.0, rank_depth=2)
-    )
+    s1 = compute_subject_scores([[0.9, 0.1], [0.2, 0.8]], [0, 1], rank_depth=2)
     ok = np.array_equal(s1, [1.0, 1.0])
 
     # scoring fixture: a rank-2 miss punishes and clamps class 0 before its
@@ -93,28 +89,25 @@ def test_criterion_2_hand_trace_fixtures():
     conf = [[0.7, 0.6, 0.1], [0.8, 0.1, 0.0], [0.1, 0.2, 0.9]]
     expected = subject_scores_reference(conf, [1, 0, 2], 1.0, rank_depth=3)
     assert expected == [1.0, 1.0 - (0.7 - 0.6), 1.0]
-    s2 = compute_subject_scores(conf, [1, 0, 2], ScoringConfig(1.0, rank_depth=3))
+    s2 = compute_subject_scores(conf, [1, 0, 2], rank_depth=3)
     ok = ok and np.array_equal(s2, expected)
 
     # scoring fixture: true class below the rank window, full punishment
-    s3 = compute_subject_scores(
-        [[0.9, 0.8, 0.7, 0.6, 0.5, 0.1]], [5], ScoringConfig(1.0, rank_depth=5)
-    )
+    s3 = compute_subject_scores([[0.9, 0.8, 0.7, 0.6, 0.5, 0.1]], [5], rank_depth=5)
     ok = ok and np.array_equal(s3, np.zeros(6))
 
     # fused-prediction chain on one sample pair
     d = normalize_difference([0.5, -0.5], bound=0.2)
     ok = ok and np.array_equal(d.values, [0.2, -0.2])
     model = FusionModel(difference=d)
-    from idfusion.fusion import final_score, fused_scores
-
-    f_ecg = fused_scores([0.8, 0.4], d, +1)
-    f_face = fused_scores([0.8, 0.4], d, -1)
+    # ECG is weighted by 0.5 + d, face by 0.5 - d, and predict_fused takes the argmax of the sum
+    f_ecg = np.array([0.8, 0.4]) * (0.5 + d.values)
+    f_face = np.array([0.8, 0.4]) * (0.5 - d.values)
     ok = ok and np.array_equal(f_ecg, [0.8 * 0.7, 0.4 * 0.3])
     ok = ok and np.array_equal(f_face, [0.8 * 0.3, 0.4 * 0.7])
-    total = final_score(f_face, f_ecg)
+    total = f_face + f_ecg
     ok = ok and np.array_equal(total, [0.8 * 0.3 + 0.8 * 0.7, 0.4 * 0.7 + 0.4 * 0.3])
-    ok = ok and predict_fused([0.8, 0.4], [0.8, 0.4], model) == 0
+    ok = ok and predict_fused([0.8, 0.4], [0.8, 0.4], model) == int(np.argmax(total)) == 0
     check(2, ok, "scoring traces and fused-prediction chain reproduce exactly")
 
 
@@ -207,9 +200,7 @@ def test_criterion_6_subject_score_bounds():
         spc = int(rng.integers(1, 11))
         labels = np.repeat(np.arange(m), spc)
         conf = rng.random((labels.size, m))
-        scores = compute_subject_scores(
-            conf, labels, ScoringConfig(float(spc), rank_depth=min(5, m))
-        )
+        scores = compute_subject_scores(conf, labels, rank_depth=min(5, m))
         ok = ok and bool(np.all(scores >= 0.0) and np.all(scores <= 1.0))
         assert ok
     check(6, ok, "1000 balanced instances, all scores in [0, 1]")
@@ -227,8 +218,8 @@ def test_criterion_7_difference_vector_contract():
         peak = float(np.abs(d.values).max())
         ok = ok and abs(peak - 0.2) <= 1e-12
         model = FusionModel(difference=d)
-        for tag in ("face", "ecg"):
-            w = model.weights(tag)
+        # the face and ECG weights the decision kernel applies
+        for w in (0.5 - model.difference.values, 0.5 + model.difference.values):
             ok = ok and bool(np.all(w >= 0.3) and np.all(w <= 0.7))
         assert ok
     check(7, ok, "peak |d| = bound within 1e-12; all weights in [0.3, 0.7]")

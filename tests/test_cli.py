@@ -1,6 +1,7 @@
 """Command-line behavior: flows, determinism, config merging, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +151,19 @@ class TestEvaluate:
     def test_requires_both_files(self, capsys):
         assert run_cli("evaluate", "--face", "only.csv") == EXIT_USAGE
 
+    @pytest.mark.parametrize("depth", ["0", "7"])
+    def test_rank_depth_outside_class_range_is_data_error(self, depth, capsys):
+        data = Path(__file__).parent / "data"
+        code = run_cli(
+            "evaluate", "--face", str(data / "face_raw.csv"), "--ecg", str(data / "ecg_raw.csv"),
+            "--folds", "5", "--rank-depth", depth,
+        )
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: invalid data:") and "rank_depth" in captured.err
+
 
 class TestFuse:
     def test_single_prediction_matches_library(self, exported_scores, tmp_path, capsys):
@@ -186,8 +200,16 @@ class TestFuse:
 
     @pytest.mark.parametrize(
         "content",
-        [b'{"modality_order": ["face", "ecg"], "bound": 0.1, "difference": ["x", 0.1]}', b"\xff"],
-        ids=["non-number", "not-utf8"],
+        [
+            b'{"modality_order": ["face", "ecg"], "bound": 0.1, "difference": ["x", 0.1]}',
+            b"\xff",
+            # valid JSON that the fusion types reject: the error must still name the file
+            b'{"modality_order": ["face", "face"], "bound": 0.2, "difference": [0.2, -0.1]}',
+            b'{"modality_order": ["face", "ecg"], "bound": 0.2, "difference": [1e400, 0.1]}',
+            b'{"modality_order": ["face", "ecg"], "bound": 0.7, "difference": [0.7, 0.1]}',
+            b'{"modality_order": ["face", "ecg"], "bound": 0.2, "difference": [0.1, -0.05]}',
+        ],
+        ids=["non-number", "not-utf8", "same-tags", "infinite-entry", "bound-too-large", "peak-below-bound"],
     )
     def test_garbage_model_is_data_error(self, tmp_path, capsys, content):
         model_path = tmp_path / "model.json"
@@ -195,7 +217,9 @@ class TestFuse:
         assert run_cli(
             "fuse", "--model", str(model_path), "--face", "0.1,0.9", "--ecg", "0.5,0.4"
         ) == EXIT_DATA
-        assert "not a fusion model file" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: invalid data: {model_path}: not a fusion model file: ")
 
 
 class TestPrepEcg:

@@ -9,19 +9,17 @@ from idfusion.evaluation import (
     ExperimentReport,
     FoldResult,
     accuracy,
-    evaluate_fold,
     make_folds,
     run_experiment,
     train_fusion_model,
 )
 from idfusion.fusion import (
     compute_baseline_weights,
-    difference_vector,
     normalize_difference,
     predict_fused_batch,
     predict_weighted_sum_batch,
 )
-from idfusion.scoring import ScoringConfig, compute_subject_scores
+from idfusion.scoring import compute_subject_scores
 from idfusion.simulator import (
     DegradationScenario,
     GeneratorParams,
@@ -109,6 +107,8 @@ class TestAccuracy:
 
 
 class TestEvaluateFold:
+    """Per-fold results, read from ``run_experiment(...).folds``."""
+
     def test_perfect_classifiers_score_one_everywhere(self):
         m, spc = 6, 4
         labels = np.repeat(np.arange(m), spc)
@@ -116,22 +116,20 @@ class TestEvaluateFold:
         ids = tuple(f"s{i}" for i in range(labels.size))
         face = ConfidenceMatrix(onehot, ids, "face")
         ecg = ConfidenceMatrix(onehot.copy(), ids, "ecg")
-        fa = make_folds(labels, k=2, seed=0)
-        result = evaluate_fold(face, ecg, labels, fa, 0, EvalConfig())
-        assert result.acc_face == 1.0
-        assert result.acc_ecg == 1.0
-        assert result.acc_fused == 1.0
-        assert result.acc_weighted_sum == 1.0
-        assert result.error_count_fused == 0
+        report = run_experiment(PairedDataset(face, ecg, labels), k=2, seed=0, cfg=EvalConfig())
+        for result in report.folds:
+            assert result.acc_face == 1.0
+            assert result.acc_ecg == 1.0
+            assert result.acc_fused == 1.0
+            assert result.acc_weighted_sum == 1.0
+            assert result.error_count_fused == 0
 
     def test_fused_beats_weaker_modality_statistically(self):
         # not guaranteed per fold; asserted over many folds and seeds
         wins = total = 0
         for seed in range(3):
             ds = _desk_dataset(seed)
-            fa = make_folds(ds.labels, k=5, seed=seed)
-            for fold in range(5):
-                r = evaluate_fold(ds.face, ds.ecg, ds.labels, fa, fold)
+            for r in run_experiment(ds, k=5, seed=seed).folds:
                 wins += r.acc_fused >= min(r.acc_face, r.acc_ecg)
                 total += 1
         assert wins / total >= 0.9
@@ -208,10 +206,8 @@ class TestRunExperiment:
             face_tr, ecg_tr, y_tr = ds.face.take(tr), ds.ecg.take(tr), ds.labels[tr]
             model = train_fusion_model(face_tr, ecg_tr, y_tr, cfg)
             # the fit itself matches compute_subject_scores, which is checked against the reference
-            scoring = ScoringConfig(y_tr.size / ds.num_classes, rank_depth=3)
-            raw = difference_vector(
-                compute_subject_scores(ecg_tr, y_tr, scoring),
-                compute_subject_scores(face_tr, y_tr, scoring),
+            raw = compute_subject_scores(ecg_tr, y_tr, rank_depth=3) - compute_subject_scores(
+                face_tr, y_tr, rank_depth=3
             )
             np.testing.assert_array_equal(
                 model.difference.values, normalize_difference(raw, bound=cfg.bound).values

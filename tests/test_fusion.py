@@ -1,49 +1,84 @@
-"""Difference-vector construction, score reweighting, and both prediction rules."""
+"""Difference-vector construction, the fused decision kernel, and both prediction rules."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idfusion.core import ValidationError
+from idfusion.core import ConfidenceMatrix, ValidationError
+from idfusion.evaluation import EvalConfig, train_fusion_model
 from idfusion.fusion import (
     BaselineWeights,
     DifferenceVector,
     FusionModel,
     compute_baseline_weights,
-    difference_vector,
-    final_score,
-    fused_scores,
     normalize_difference,
     predict_fused,
     predict_fused_batch,
-    predict_weighted_sum,
     predict_weighted_sum_batch,
 )
+from idfusion.scoring import compute_subject_scores
 
 unit_vec = st.lists(
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=2, max_size=12
 )
 
 
+def _trained_difference(face_rows, ecg_rows, labels):
+    """The difference vector ``train_fusion_model`` fits, and the two subject-score vectors."""
+    ids = tuple(f"s{i}" for i in range(len(labels)))
+    face = ConfidenceMatrix(np.asarray(face_rows, dtype=np.float64), ids, "face")
+    ecg = ConfidenceMatrix(np.asarray(ecg_rows, dtype=np.float64), ids, "ecg")
+    cfg = EvalConfig(rank_depth=2)
+    model = train_fusion_model(face, ecg, labels, cfg)
+    s_face = compute_subject_scores(face, labels, rank_depth=2)
+    s_ecg = compute_subject_scores(ecg, labels, rank_depth=2)
+    return model.difference.values, s_face, s_ecg
+
+
+def _fused_total(face, ecg, d):
+    """The reweighted sum the decision kernel takes the argmax of, written out."""
+    return np.asarray(face) * (0.5 - d) + np.asarray(ecg) * (0.5 + d)
+
+
 class TestDifferenceVector:
+    """The fit subtracts face subject scores from ECG ones before rescaling."""
+
     def test_elementwise_subtraction(self):
-        np.testing.assert_array_equal(
-            difference_vector([1.0, 0.5], [0.5, 1.0]), [0.5, -0.5]
-        )
+        # face misses both class-0 samples (class 1 is clamped at 0 until its own
+        # hits), ECG misses one class-1 sample: s_face = [0, 1], s_ecg = [0.5, 0.5]
+        face = [[0.0, 1.0], [0.0, 1.0], [0.1, 0.9], [0.2, 0.8]]
+        ecg = [[0.9, 0.1], [0.8, 0.2], [1.0, 0.0], [0.1, 0.9]]
+        d, s_face, s_ecg = _trained_difference(face, ecg, [0, 0, 1, 1])
+        np.testing.assert_array_equal(s_face, [0.0, 1.0])
+        np.testing.assert_array_equal(s_ecg, [0.5, 0.5])
+        np.testing.assert_array_equal(s_ecg - s_face, [0.5, -0.5])
+        np.testing.assert_array_equal(d, normalize_difference([0.5, -0.5]).values)
 
     def test_identical_scores_give_zeros(self):
-        s = np.array([0.3, 0.9, 0.6])
-        np.testing.assert_array_equal(difference_vector(s, s), np.zeros(3))
+        rows = [[0.3, 0.9, 0.6], [0.9, 0.2, 0.1], [0.6, 0.5, 0.4]]
+        d, s_face, s_ecg = _trained_difference(rows, rows, [1, 0, 2])
+        np.testing.assert_array_equal(s_face, s_ecg)
+        np.testing.assert_array_equal(d, np.zeros(3))
 
     def test_hand_computed(self):
-        np.testing.assert_allclose(
-            difference_vector([0.9, 0.2, 0.7], [0.3, 0.8, 0.7]), [0.6, -0.6, 0.0]
-        )
+        # face: both samples rank 1, s_face = [1.0, 1.0]; ECG: sample 0 is a
+        # rank-2 miss by 0.4 (class 1 punished and clamped at 0) and sample 1
+        # a rank-1 hit, so s_ecg = [0.6, 1.0] and the raw difference is [-0.4, 0.0]
+        face = [[0.9, 0.1], [0.2, 0.8]]
+        ecg = [[0.3, 0.7], [0.1, 0.9]]
+        d, s_face, s_ecg = _trained_difference(face, ecg, [0, 1])
+        np.testing.assert_array_equal(s_face, [1.0, 1.0])
+        np.testing.assert_allclose(s_ecg, [0.6, 1.0], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(d, [-0.2, 0.0], rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(d, normalize_difference(s_ecg - s_face).values)
 
     def test_length_mismatch(self):
+        ids = ("a", "b")
+        face = ConfidenceMatrix(np.array([[0.9, 0.1], [0.2, 0.8]]), ids, "face")
+        ecg = ConfidenceMatrix(np.array([[0.9, 0.1, 0.0], [0.2, 0.8, 0.0]]), ids, "ecg")
         with pytest.raises(ValidationError):
-            difference_vector([1.0], [1.0, 2.0])
+            train_fusion_model(face, ecg, [0, 1], EvalConfig(rank_depth=2))
 
 
 class TestNormalizeDifference:
@@ -83,47 +118,68 @@ class TestNormalizeDifference:
 
 
 class TestFusedScores:
+    """Each modality's reweighting inside the decision kernel."""
+
     def test_zero_difference_halves(self):
-        d = normalize_difference([0.0, 0.0])
-        np.testing.assert_array_equal(fused_scores([1.0, 1.0], d, +1), [0.5, 0.5])
-        np.testing.assert_array_equal(fused_scores([1.0, 1.0], d, -1), [0.5, 0.5])
+        # d = 0 weights both modalities by 0.5: the decision is the plain sum rule
+        model = FusionModel(difference=normalize_difference([0.0, 0.0]))
+        face = np.array([[1.0, 1.0], [0.2, 0.9], [0.9, 0.2], [0.6, 0.5]])
+        ecg = np.array([[1.0, 1.0], [0.8, 0.2], [0.2, 0.8], [0.3, 0.5]])
+        np.testing.assert_array_equal(
+            _fused_total(face, ecg, model.difference.values), (face + ecg) * 0.5
+        )
+        np.testing.assert_array_equal(
+            predict_fused_batch(face, ecg, model), np.argmax(face * 0.5 + ecg * 0.5, axis=1)
+        )
+        np.testing.assert_array_equal(predict_fused_batch(face, ecg, model), [0, 1, 0, 1])
 
     def test_plus_side(self):
+        # ECG is the plus side: with face all zero the kernel sums [0.8 * 0.7, 0.4 * 0.3]
         d = normalize_difference([0.2, -0.2], bound=0.2)
-        np.testing.assert_array_equal(
-            fused_scores([0.8, 0.4], d, +1), [0.8 * 0.7, 0.4 * 0.3]
-        )
+        ecg = np.array([0.8, 0.4])
+        np.testing.assert_array_equal(_fused_total([0.0, 0.0], ecg, d.values), [0.8 * 0.7, 0.4 * 0.3])
+        model = FusionModel(difference=d)
+        # face values on class 1 sweep past the tie at (0.8 * 0.7 - 0.4 * 0.3) / 0.7
+        face = np.array([[0.0, f] for f in np.linspace(0.0, 1.0, 101)])
+        want = np.argmax(face * [0.3, 0.7] + [0.8 * 0.7, 0.4 * 0.3], axis=1)
+        np.testing.assert_array_equal(predict_fused_batch(face, np.tile(ecg, (101, 1)), model), want)
+        assert 0 < want.sum() < 101
 
     def test_minus_side(self):
+        # face is the minus side: with ECG all zero the kernel sums [0.8 * 0.3, 0.4 * 0.7]
         d = normalize_difference([0.2, -0.2], bound=0.2)
-        np.testing.assert_array_equal(
-            fused_scores([0.8, 0.4], d, -1), [0.8 * 0.3, 0.4 * 0.7]
-        )
-
-    def test_bad_sign_rejected(self):
-        d = normalize_difference([0.0, 0.0])
-        with pytest.raises(ValidationError):
-            fused_scores([0.5, 0.5], d, 2)
+        face = np.array([0.8, 0.4])
+        np.testing.assert_array_equal(_fused_total(face, [0.0, 0.0], d.values), [0.8 * 0.3, 0.4 * 0.7])
+        model = FusionModel(difference=d)
+        assert predict_fused_batch(face[None, :], np.zeros((1, 2)), model)[0] == 1
+        ecg = np.array([[e, 0.0] for e in np.linspace(0.0, 1.0, 101)])
+        want = np.argmax(ecg * 0.7 + [0.8 * 0.3, 0.4 * 0.7], axis=1)
+        np.testing.assert_array_equal(predict_fused_batch(np.tile(face, (101, 1)), ecg, model), want)
+        assert 0 < want.sum() < 101
 
     def test_length_mismatch(self):
-        d = normalize_difference([0.0, 0.0, 0.0])
+        model = FusionModel(difference=normalize_difference([0.0, 0.0, 0.0]))
         with pytest.raises(ValidationError):
-            fused_scores([0.5, 0.5], d, +1)
+            predict_fused_batch(np.full((1, 2), 0.5), np.full((1, 2), 0.5), model)
+        with pytest.raises(ValidationError):
+            predict_fused([0.5, 0.5], [0.5, 0.5], model)
 
 
 class TestFinalScore:
+    """The sum of the two reweighted vectors, whose argmax is the decision."""
+
     def test_continues_running_example(self):
-        np.testing.assert_array_equal(
-            final_score([0.8 * 0.3, 0.4 * 0.7], [0.8 * 0.7, 0.4 * 0.3]),
-            [0.8 * 0.3 + 0.8 * 0.7, 0.4 * 0.7 + 0.4 * 0.3],
-        )
+        d = normalize_difference([0.2, -0.2], bound=0.2)
+        total = _fused_total([0.8, 0.4], [0.8, 0.4], d.values)
+        np.testing.assert_array_equal(total, [0.8 * 0.3 + 0.8 * 0.7, 0.4 * 0.7 + 0.4 * 0.3])
+        model = FusionModel(difference=d)
+        assert predict_fused_batch(np.array([[0.8, 0.4]]), np.array([[0.8, 0.4]]), model)[0] == 0
 
     def test_zeros(self):
-        np.testing.assert_array_equal(final_score([0.0, 0.0], [0.0, 0.0]), [0.0, 0.0])
-
-    def test_additive_inverse(self):
-        a = np.array([0.4, -0.2, 0.1])
-        np.testing.assert_array_equal(final_score(a, -a), np.zeros(3))
+        # an all-zero sum ties everywhere and the lower index wins
+        model = FusionModel(difference=normalize_difference([0.2, -0.2], bound=0.2))
+        np.testing.assert_array_equal(_fused_total([0.0, 0.0], [0.0, 0.0], model.difference.values), [0.0, 0.0])
+        assert predict_fused_batch(np.zeros((1, 2)), np.zeros((1, 2)), model)[0] == 0
 
 
 class TestPredictFused:
@@ -152,12 +208,13 @@ class TestPredictFused:
         np.testing.assert_array_equal(batch, singles)
         weights = BaselineWeights(w_face=0.3, w_ecg=0.7)
         batch = predict_weighted_sum_batch(face, ecg, weights)
-        singles = [predict_weighted_sum(face[i], ecg[i], weights) for i in range(40)]
+        singles = [int(np.argmax(0.3 * face[i] + 0.7 * ecg[i])) for i in range(40)]
         np.testing.assert_array_equal(batch, singles)
 
     @given(unit_vec, unit_vec)
     @settings(max_examples=100)
     def test_antisymmetry(self, a, b):
+        # swapping the modalities and negating d gives the same sum, hence the same decision
         n = min(len(a), len(b))
         if n < 2:
             return
@@ -165,9 +222,14 @@ class TestPredictFused:
         rng = np.random.default_rng(n)
         d = normalize_difference(rng.normal(size=n), bound=0.2)
         neg = DifferenceVector(values=-d.values, bound=d.bound)
-        forward = final_score(fused_scores(cf, d, -1), fused_scores(ce, d, +1))
-        swapped = final_score(fused_scores(ce, neg, -1), fused_scores(cf, neg, +1))
+        forward = _fused_total(cf, ce, d.values)
+        swapped = _fused_total(ce, cf, neg.values)
         np.testing.assert_array_equal(forward, swapped)
+        rows = np.stack([cf, ce, cf[::-1]]), np.stack([ce, cf, ce[::-1]])
+        np.testing.assert_array_equal(
+            predict_fused_batch(*rows, FusionModel(difference=d)),
+            predict_fused_batch(*rows[::-1], FusionModel(difference=neg)),
+        )
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(11)
@@ -177,14 +239,13 @@ class TestPredictFused:
             d = normalize_difference(rng.normal(size=m), bound=0.2)
             perm = rng.permutation(m)
             model = FusionModel(difference=d)
-            base = final_score(fused_scores(cf, d, -1), fused_scores(ce, d, +1))
+            base = _fused_total(cf, ce, d.values)
             d_p = DifferenceVector(values=d.values[perm], bound=d.bound)
-            moved = final_score(
-                fused_scores(cf[perm], d_p, -1), fused_scores(ce[perm], d_p, +1)
-            )
+            moved = _fused_total(cf[perm], ce[perm], d_p.values)
             np.testing.assert_array_equal(moved, base[perm])
+            decision = predict_fused_batch(cf[perm][None, :], ce[perm][None, :], FusionModel(difference=d_p))[0]
             if np.sum(base == base.max()) == 1:  # tie-free decisions must map through
-                assert np.argmax(moved) == np.argmax(base[perm])
+                assert decision == np.argmax(base[perm])
             assert predict_fused(cf, ce, model) == np.argmax(base)
 
     def test_flat_rows_tie_and_go_to_class_zero(self):
@@ -206,8 +267,7 @@ class TestPredictFused:
         for _ in range(50):
             d = normalize_difference(rng.normal(size=10), bound=0.2)
             model = FusionModel(difference=d)
-            for tag in ("face", "ecg"):
-                w = model.weights(tag)
+            for w in (0.5 - model.difference.values, 0.5 + model.difference.values):
                 assert np.all(w >= 0.3) and np.all(w <= 0.7)
 
 
@@ -235,15 +295,15 @@ class TestWeightedSumBaseline:
 
     def test_tie_breaks_to_lower_index(self):
         w = BaselineWeights(w_face=0.5, w_ecg=0.5)
-        assert predict_weighted_sum([0.9, 0.1], [0.1, 0.9], w) == 0
+        assert predict_weighted_sum_batch(np.array([[0.9, 0.1]]), np.array([[0.1, 0.9]]), w)[0] == 0
 
     def test_degenerate_weight_tracks_face(self):
         w = BaselineWeights(w_face=1.0, w_ecg=0.0)
         rng = np.random.default_rng(1)
         for _ in range(20):
             cf, ce = rng.random(5), rng.random(5)
-            assert predict_weighted_sum(cf, ce, w) == int(np.argmax(cf))
+            assert predict_weighted_sum_batch(cf[None, :], ce[None, :], w)[0] == int(np.argmax(cf))
 
     def test_hand_computed(self):
         w = BaselineWeights(w_face=0.6, w_ecg=0.4)
-        assert predict_weighted_sum([0.2, 0.8], [0.9, 0.1], w) == 1
+        assert predict_weighted_sum_batch(np.array([[0.2, 0.8]]), np.array([[0.9, 0.1]]), w)[0] == 1

@@ -1,4 +1,4 @@
-"""Subject scoring: the confidence-gap primitive and the award/punish loop."""
+"""Subject scoring: the per-sample confidence gap and the award/punish loop."""
 
 import numpy as np
 import pytest
@@ -6,37 +6,55 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idfusion.core import ValidationError
-from idfusion.scoring import ScoringConfig, compute_subject_scores, conf_diff
+from idfusion.scoring import compute_subject_scores
 from reference import rank_indices_reference, subject_scores_reference
 
 
+def _one_sample(c, label, rank_depth):
+    """Subject scores of a one-sample training set; its normalizer N/M is 1/M."""
+    with pytest.warns(UserWarning, match="unbalanced"):
+        return compute_subject_scores([c], [label], rank_depth=rank_depth)
+
+
 class TestConfDiff:
+    """The per-sample gap, seen through one-sample scoring runs.
+
+    One sample awards its true subject 1 - gap and punishes a wrongly
+    top-ranked subject by the gap, clamped at zero.
+    """
+
     def test_rank_one_is_zero(self):
-        assert conf_diff([0.9, 0.1, 0.0], 0, rank_depth=3) == 0.0
+        s = _one_sample([0.9, 0.1, 0.0], 0, rank_depth=3)
+        np.testing.assert_array_equal(s, [(1.0 - 0.0) / (1 / 3), 0.0, 0.0])
 
     def test_rank_two_gap(self):
-        assert conf_diff([0.7, 0.6, 0.1], 1, rank_depth=3) == 0.7 - 0.6
+        s = _one_sample([0.7, 0.6, 0.1], 1, rank_depth=3)
+        np.testing.assert_array_equal(s, [0.0, (1.0 - (0.7 - 0.6)) / (1 / 3), 0.0])
 
     def test_missing_from_top_five(self):
         c = [0.9, 0.8, 0.7, 0.6, 0.5, 0.1]
-        assert conf_diff(c, 5, rank_depth=5) == 1.0
+        np.testing.assert_array_equal(_one_sample(c, 5, rank_depth=5), np.zeros(6))
 
     def test_rank_depth_window_boundary(self):
         c = [0.9, 0.8, 0.7, 0.6, 0.5, 0.1]
         # rank 5 is the last rank inside the default window
-        assert conf_diff(c, 4, rank_depth=5) == 0.9 - 0.5
+        s = _one_sample(c, 4, rank_depth=5)
+        assert s[4] == (1.0 - (0.9 - 0.5)) / (1 / 6)
+        assert s[4] > 0.0
 
     def test_unnormalized_input_rejected(self):
         with pytest.raises(ValidationError):
-            conf_diff([1.2, 0.1], 0, rank_depth=2)
+            compute_subject_scores([[1.2, 0.1]], [0], rank_depth=2)
         with pytest.raises(ValidationError):
-            conf_diff([-0.1, 0.5], 0, rank_depth=2)
+            compute_subject_scores([[-0.1, 0.5]], [0], rank_depth=2)
 
     def test_label_and_depth_bounds(self):
         with pytest.raises(ValidationError):
-            conf_diff([0.5, 0.5], 2, rank_depth=2)
-        with pytest.raises(ValidationError):
-            conf_diff([0.5, 0.5], 0, rank_depth=3)
+            compute_subject_scores([[0.5, 0.5]], [2], rank_depth=2)
+        with pytest.raises(ValidationError, match="rank_depth"):
+            compute_subject_scores([[0.5, 0.5]], [0], rank_depth=3)
+        with pytest.raises(ValidationError, match="rank_depth"):
+            compute_subject_scores([[0.5, 0.5]], [0], rank_depth=0)
 
     @given(
         st.one_of(
@@ -55,8 +73,8 @@ class TestConfDiff:
         c = np.asarray(values)
         order = rank_indices_reference(values, c.size)
         for label in range(c.size):
-            gap = conf_diff(c, label, depth)
-            assert 0.0 <= gap <= 1.0
+            s = _one_sample(c, label, depth)
+            np.testing.assert_array_equal(s, subject_scores_reference([values], [label], 1 / c.size, depth))
             rank = order.index(label)
             if rank == 0:
                 expected = 0.0
@@ -64,17 +82,17 @@ class TestConfDiff:
                 expected = c[order[0]] - c[label]
             else:
                 expected = 1.0
-            assert gap == expected
-
-
-def _cfg(spc, depth=5):
-    return ScoringConfig(samples_per_class=spc, rank_depth=depth)
+            assert 0.0 <= expected <= 1.0
+            # the true subject keeps 1 - gap; the top one, if another, is clamped at zero
+            assert s[label] == (1.0 - expected) / (1 / c.size)
+            if rank > 0:
+                assert s[order[0]] == 0.0
 
 
 class TestComputeSubjectScores:
     def test_all_rank_one_correct(self):
         scores = compute_subject_scores(
-            [[0.9, 0.1], [0.2, 0.8]], [0, 1], _cfg(1.0, depth=2)
+            [[0.9, 0.1], [0.2, 0.8]], [0, 1], rank_depth=2
         )
         np.testing.assert_array_equal(scores, [1.0, 1.0])
 
@@ -86,13 +104,13 @@ class TestComputeSubjectScores:
         labels = [1, 0, 2]
         expected = subject_scores_reference(conf, labels, 1.0, rank_depth=3)
         assert expected == [1.0, 1.0 - (0.7 - 0.6), 1.0]
-        scores = compute_subject_scores(conf, labels, _cfg(1.0, depth=3))
+        scores = compute_subject_scores(conf, labels, rank_depth=3)
         np.testing.assert_array_equal(scores, expected)
 
     @pytest.mark.filterwarnings("ignore:unbalanced")
     def test_miss_and_full_punishment(self):
         conf = [[0.9, 0.8, 0.7, 0.6, 0.5, 0.1]]
-        scores = compute_subject_scores(conf, [5], _cfg(1.0))
+        scores = compute_subject_scores(conf, [5])
         assert scores[5] == 0.0  # award 1 - 1.0
         assert scores[0] == 0.0  # punished by 1.0, clamped at the floor
         np.testing.assert_array_equal(scores, np.zeros(6))
@@ -103,25 +121,25 @@ class TestComputeSubjectScores:
         # floor only if its award has not arrived yet
         sample_a = [1.0, 0.9, 0.0]
         sample_b = [0.9, 0.05, 0.0]
-        ab = compute_subject_scores([sample_a, sample_b], [1, 0], _cfg(1.0, depth=3))
-        ba = compute_subject_scores([sample_b, sample_a], [0, 1], _cfg(1.0, depth=3))
-        np.testing.assert_array_equal(ab, subject_scores_reference([sample_a, sample_b], [1, 0], 1.0, 3))
-        np.testing.assert_array_equal(ba, subject_scores_reference([sample_b, sample_a], [0, 1], 1.0, 3))
+        ab = compute_subject_scores([sample_a, sample_b], [1, 0], rank_depth=3)
+        ba = compute_subject_scores([sample_b, sample_a], [0, 1], rank_depth=3)
+        np.testing.assert_array_equal(ab, subject_scores_reference([sample_a, sample_b], [1, 0], 2 / 3, 3))
+        np.testing.assert_array_equal(ba, subject_scores_reference([sample_b, sample_a], [0, 1], 2 / 3, 3))
         assert not np.array_equal(ab, ba)
 
     def test_unbalanced_counts_warn(self):
         with pytest.warns(UserWarning, match="unbalanced"):
             compute_subject_scores(
-                [[0.9, 0.1], [0.8, 0.2], [0.3, 0.7]], [0, 0, 1], _cfg(1.5, depth=2)
+                [[0.9, 0.1], [0.8, 0.2], [0.3, 0.7]], [0, 0, 1], rank_depth=2
             )
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValidationError):
-            compute_subject_scores(np.empty((0, 3)), [], _cfg(1.0))
+            compute_subject_scores(np.empty((0, 3)), [])
 
     def test_rank_depth_exceeding_classes_rejected(self):
         with pytest.raises(ValidationError):
-            compute_subject_scores([[0.9, 0.1]], [0], _cfg(1.0, depth=5))
+            compute_subject_scores([[0.9, 0.1]], [0], rank_depth=5)
 
     @pytest.mark.filterwarnings("ignore:unbalanced")
     def test_matches_reference_on_random_instances(self):
@@ -134,7 +152,7 @@ class TestComputeSubjectScores:
                 labels = rng.integers(0, m, n)
                 spc = n / m
                 depth = int(rng.integers(1, m + 1)) if tied else min(5, m)
-                got = compute_subject_scores(conf, labels, _cfg(spc, depth))
+                got = compute_subject_scores(conf, labels, rank_depth=depth)
                 want = subject_scores_reference(conf, labels, spc, depth)
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
@@ -148,6 +166,6 @@ class TestComputeSubjectScores:
         rng = np.random.default_rng(seed)
         labels = np.repeat(np.arange(m), spc)
         conf = rng.random((labels.size, m))
-        scores = compute_subject_scores(conf, labels, _cfg(float(spc), min(5, m)))
+        scores = compute_subject_scores(conf, labels, rank_depth=min(5, m))
         assert np.all(scores >= 0.0)
         assert np.all(scores <= 1.0)

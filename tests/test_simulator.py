@@ -20,7 +20,6 @@ from idfusion.simulator import (
     calibrate_degraded_regime,
     degraded_subpopulation_target,
     generate_dataset,
-    generate_sample,
 )
 from reference import rank1_accuracy_quadrature
 
@@ -35,18 +34,23 @@ def _params(m=10, spc=5, mean=1.0, clean=0.3, degraded=0.9):
     )
 
 
+def _one_row(true_label, degraded, params, rng):
+    """One normalized confidence vector for a sample of ``true_label``."""
+    return simulator._draw_rows(1, true_label, degraded, params, rng)[0]
+
+
 class TestGenerateSample:
     def test_near_noiseless_limit_is_one_hot(self):
         params = _params(clean=1e-9, degraded=1e-8)
-        v = generate_sample(3, False, params, np.random.default_rng(0))
+        v = _one_row(3, False, params, np.random.default_rng(0))
         assert int(np.argmax(v)) == 3
         assert v[3] == 1.0
         assert np.all(np.delete(v, 3) < 1e-6)
 
     def test_fixed_seed_reproduces(self):
         params = _params()
-        a = generate_sample(2, True, params, np.random.default_rng(42))
-        b = generate_sample(2, True, params, np.random.default_rng(42))
+        a = _one_row(2, True, params, np.random.default_rng(42))
+        b = _one_row(2, True, params, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
         # golden digest: the draw must not change when the sampling code is refactored
         assert hashlib.sha256(a.tobytes()).hexdigest() == (
@@ -55,7 +59,7 @@ class TestGenerateSample:
 
     def test_output_is_normalized(self):
         params = _params()
-        v = generate_sample(0, False, params, np.random.default_rng(7))
+        v = _one_row(0, False, params, np.random.default_rng(7))
         assert v.min() == 0.0 and v.max() == 1.0
 
     def test_calibrated_sigma_hits_target_on_fresh_draws(self):
