@@ -62,14 +62,19 @@ def as_confidence_vector(
     Requires at least 2 classes and finite entries. With ``normalize`` each
     raw row is min-max rescaled into [0, 1] as ``(v - lo) / (hi - lo)``, and
     a constant row, which ranks no class, is an error; without it the
-    values must already lie inside [0, 1].
+    values must already lie inside [0, 1]. That range check is also the
+    finiteness check: ``min`` and ``max`` propagate a NaN, and an infinity
+    lies outside [0, 1], so the entries are scanned for NaN or infinity
+    only when it fails, and a non-finite entry is still reported first.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != ndim:
         raise ValidationError(f"{name} must be {ndim}-D, got shape {v.shape}")
     if v.shape[-1] < 2:
         raise ValidationError(f"{name} needs at least 2 classes, got {v.shape[-1]}")
-    if not np.all(np.isfinite(v)):
+    # raw rows have no range to check it against, so with normalize the scan always runs
+    in_range = not normalize and (not v.size or (0.0 <= v.min() and v.max() <= 1.0))
+    if not in_range and not np.all(np.isfinite(v)):
         raise ValidationError(f"{name} contains NaN or infinite entries")
     if normalize:
         lo = v.min(axis=-1, keepdims=True)
@@ -77,7 +82,7 @@ def as_confidence_vector(
         if np.any(span == 0.0):
             raise ValidationError(f"{name} has a constant row, which ranks no class")
         return (v - lo) / span
-    if v.size and (v.min() < 0.0 or v.max() > 1.0):
+    if not in_range:
         raise ValidationError(
             f"{name} has values outside [0, 1] (min={v.min()}, max={v.max()}); "
             "normalize before use"

@@ -89,15 +89,29 @@ class FusionModel:
 
     ``modality_order`` records the tags of the training files, as
     (minus_tag, plus_tag). The decision kernels take face first: face
-    confidences are weighted by (0.5 - d), ECG confidences by (0.5 + d).
+    confidences are weighted by (0.5 - d), ECG confidences by (0.5 + d),
+    so a model with ``ecg`` on the minus side or ``face`` on the plus side
+    is rejected. The weight pair is computed once, here; it is read-only
+    and left out of equality and the repr.
     """
 
     difference: DifferenceVector
     modality_order: tuple[str, str] = ("face", "ecg")
+    _weights: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.modality_order) != 2 or self.modality_order[0] == self.modality_order[1]:
             raise ValidationError("modality_order must be two distinct tags")
+        if self.modality_order[0] == "ecg" or self.modality_order[1] == "face":
+            raise ValidationError(
+                f"modality_order {list(self.modality_order)} puts ecg on the face (minus) side "
+                "or face on the ecg (plus) side"
+            )
+        d = self.difference.values
+        weights = (0.5 - d, 0.5 + d)
+        for w in weights:
+            w.setflags(write=False)
+        object.__setattr__(self, "_weights", weights)
 
     @property
     def num_classes(self) -> int:
@@ -127,7 +141,8 @@ def predict_fused_batch(face_values: np.ndarray, ecg_values: np.ndarray, model: 
         raise ValidationError(
             f"model has {d.size} classes but matrices have {face_values.shape[1]}"
         )
-    total = face_values * (0.5 - d) + ecg_values * (0.5 + d)
+    minus, plus = model._weights
+    total = face_values * minus + ecg_values * plus
     return np.argmax(total, axis=1)
 
 

@@ -160,10 +160,17 @@ def load_paired_dataset(face_path, ecg_path, normalize: bool = True) -> PairedDa
     """Load and align the two modalities' score files into one dataset.
 
     The files must cover the same sample_ids with the same labels; the ECG
-    rows are reordered to the face file's sample order if needed.
+    rows are reordered to the face file's sample order if needed. A face
+    file tagged ``ecg``, or an ECG file tagged ``face``, is rejected: the
+    fused rule would silently swap sides. Any other tag is accepted.
     """
     face, y_face = load_score_matrix(face_path, normalize=normalize)
     ecg, y_ecg = load_score_matrix(ecg_path, normalize=normalize)
+    for path, matrix, role, other in ((face_path, face, "face", "ecg"), (ecg_path, ecg, "ecg", "face")):
+        if matrix.modality == other:
+            raise ValidationError(
+                f"{path}: given as the {role} score file, but its columns are tagged {other!r}"
+            )
     if set(face.sample_ids) != set(ecg.sample_ids):
         only_face = set(face.sample_ids) - set(ecg.sample_ids)
         only_ecg = set(ecg.sample_ids) - set(face.sample_ids)

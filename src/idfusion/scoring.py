@@ -89,10 +89,10 @@ def _clamped_scores(gaps, top, labels, num_classes: int) -> np.ndarray:
     scores = [0.0] * num_classes
     # Input order is part of the contract: the clamp couples consecutive
     # updates to the same subject, so this loop must not be reordered.
-    for i in range(labels.size):
-        d = float(gaps[i])
-        scores[labels[i]] += 1.0 - d
-        p = top[i]
+    # the memoryview yields the gaps one Python float at a time; a list of all N
+    # of them (gaps.tolist()) raised evaluate's peak memory by 4-10 MB
+    for d, label, p in zip(memoryview(gaps), labels.tolist(), top.tolist()):
+        scores[label] += 1.0 - d
         scores[p] -= d
         if scores[p] < 0.0:
             scores[p] = 0.0

@@ -164,6 +164,43 @@ class TestEvaluate:
         assert captured.err.count("\n") == 1
         assert captured.err.startswith("error: invalid data:") and "rank_depth" in captured.err
 
+    @pytest.mark.parametrize(
+        "face_name, ecg_name, named",
+        [("ecg_raw.csv", "face_raw.csv", "face"), ("face_raw.csv", "face_raw.csv", "ecg")],
+        ids=["swapped", "face-tagged-ecg-file"],
+    )
+    def test_file_tagged_as_the_other_modality_is_data_error(
+        self, tmp_path, capsys, face_name, ecg_name, named
+    ):
+        data = Path(__file__).parent / "data"
+        face, ecg = tmp_path / f"face_{face_name}", tmp_path / f"ecg_{ecg_name}"
+        face.write_bytes((data / face_name).read_bytes())
+        ecg.write_bytes((data / ecg_name).read_bytes())
+        model = tmp_path / "m.json"
+        code = run_cli(
+            "evaluate", "--face", str(face), "--ecg", str(ecg), "--folds", "5", "--save-model", str(model)
+        )
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: invalid data: {face if named == 'face' else ecg}: ")
+        assert not model.exists()
+
+    def test_custom_modality_tags_still_work(self, tmp_path):
+        data = Path(__file__).parent / "data"
+        paths = []
+        for name, tag, new in (("face_raw.csv", "face", "rgb"), ("ecg_raw.csv", "ecg", "thermal")):
+            path = tmp_path / name
+            path.write_text((data / name).read_text().replace(f",{tag}_", f",{new}_"))
+            paths.append(path)
+        model = tmp_path / "m.json"
+        code = run_cli(
+            "evaluate", "--face", str(paths[0]), "--ecg", str(paths[1]), "--folds", "5",
+            "--save-model", str(model), "--out", str(tmp_path / "r.txt"),
+        )
+        assert code == EXIT_OK
+        assert json.loads(model.read_text())["modality_order"] == ["rgb", "thermal"]
+
 
 class TestFuse:
     def test_single_prediction_matches_library(self, exported_scores, tmp_path, capsys):
@@ -220,6 +257,20 @@ class TestFuse:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"error: invalid data: {model_path}: not a fusion model file: ")
+
+    def test_model_with_ecg_on_the_face_side_is_data_error(self, tmp_path, capsys):
+        doc = json.loads((Path(__file__).parent / "data" / "model.json").read_text())
+        doc["modality_order"] = ["ecg", "face"]
+        model_path = tmp_path / "m.json"
+        model_path.write_text(json.dumps(doc))
+        code = run_cli(
+            "fuse", "--model", str(model_path),
+            "--face", "0.1,0.9,0.3,0.2,0.4,0.5", "--ecg", "0.2,0.3,0.8,0.1,0.0,0.6",
+        )
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: invalid data: {model_path}: ")
 
 
 class TestPrepEcg:

@@ -3,6 +3,7 @@
 Ranking is tested in test_scoring.py, where its one kernel lives.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -57,6 +58,44 @@ class TestMinmaxNormalize:
     def test_rejects_too_short(self):
         with pytest.raises(ValidationError):
             rescale([1.0])
+
+
+def _as_ndim(row, ndim):
+    """``row`` as a 1-D vector, or as the second row of a 2-D matrix under an in-range first row."""
+    return row if ndim == 1 else [[0.25, 0.75], row]
+
+
+class TestRangeCheck:
+    """Without ``normalize`` the [0, 1] range check is also the finiteness check."""
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize(
+        "row",
+        [[np.nan, 0.5], [np.inf, 0.5], [0.5, -np.inf], [np.nan, 2.0]],
+        ids=["nan", "inf", "-inf", "nan-and-out-of-range"],
+    )
+    def test_non_finite_is_reported_first(self, row, ndim):
+        with pytest.raises(ValidationError, match="^confidence vector contains NaN or infinite entries$"):
+            as_confidence_vector(_as_ndim(row, ndim), ndim=ndim)
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("row", [[-0.1, 0.5], [0.5, 1.5]], ids=["below", "above"])
+    def test_out_of_range_names_min_and_max(self, row, ndim):
+        values = np.asarray(_as_ndim(row, ndim))
+        message = (
+            f"confidence vector has values outside [0, 1] (min={values.min()}, max={values.max()}); "
+            "normalize before use"
+        )
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            as_confidence_vector(values, ndim=ndim)
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_negative_zero_is_inside(self, ndim):
+        v = as_confidence_vector(_as_ndim([-0.0, 1.0], ndim), ndim=ndim)
+        assert np.signbit(v.reshape(-1, 2)[-1, 0])
+
+    def test_empty_matrix_is_accepted(self):
+        assert as_confidence_vector(np.zeros((0, 3)), ndim=2).shape == (0, 3)
 
     @given(st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=2, max_size=15))
     @settings(max_examples=100)

@@ -17,6 +17,7 @@ from idfusion.fusion import (
     predict_fused_batch,
     predict_weighted_sum_batch,
 )
+from idfusion.io import load_fusion_model, save_fusion_model
 from idfusion.scoring import compute_subject_scores
 
 unit_vec = st.lists(
@@ -269,6 +270,35 @@ class TestPredictFused:
             model = FusionModel(difference=d)
             for w in (0.5 - model.difference.values, 0.5 + model.difference.values):
                 assert np.all(w >= 0.3) and np.all(w <= 0.7)
+
+
+class TestFusionModel:
+    """The model's weight pair is computed once, and is invisible to equality and repr."""
+
+    def test_weights_are_read_only(self):
+        model = FusionModel(difference=normalize_difference([0.3, -0.1, 0.2]))
+        for w in model._weights:
+            with pytest.raises(ValueError):
+                w[0] = 0.0
+
+    def test_models_on_one_difference_vector_compare_equal(self):
+        d = normalize_difference([0.3, -0.1, 0.2])
+        assert FusionModel(difference=d) == FusionModel(difference=d)
+        assert "_weights" not in repr(FusionModel(difference=d))
+
+    def test_reloaded_model_decides_like_the_original(self, tmp_path):
+        rng = np.random.default_rng(17)
+        m = 87
+        model = FusionModel(difference=normalize_difference(rng.normal(size=m), bound=0.2))
+        save_fusion_model(model, tmp_path / "model.json")
+        back = load_fusion_model(tmp_path / "model.json")
+        face, ecg = rng.random((200, m)), rng.random((200, m))
+        face[::10] = 0.5  # flat in both modalities: the fused sum ties and the lower index wins
+        ecg[::10] = 0.5
+        decisions = predict_fused_batch(face, ecg, model)
+        np.testing.assert_array_equal(predict_fused_batch(face, ecg, back), decisions)
+        assert [predict_fused(face[i], ecg[i], back) for i in range(200)] == decisions.tolist()
+        assert not decisions[::10].any()
 
 
 class TestWeightedSumBaseline:
