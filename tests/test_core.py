@@ -59,6 +59,23 @@ class TestMinmaxNormalize:
         with pytest.raises(ValidationError):
             rescale([1.0])
 
+    @given(st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=2, max_size=15))
+    @settings(max_examples=100)
+    def test_idempotent_on_non_degenerate(self, raw):
+        v = np.asarray(raw)
+        if v.max() == v.min():
+            v = v + np.linspace(0, 1, v.size)
+        once = rescale(v)
+        np.testing.assert_allclose(rescale(once), once, atol=1e-15)
+
+    @given(raw_matrices)
+    @settings(max_examples=200)
+    def test_matches_plain_python_per_row(self, rows):
+        want = np.array([[(x - min(row)) / (max(row) - min(row)) for x in row] for row in rows])
+        assert as_confidence_vector(rows, ndim=2, normalize=True).tobytes() == want.tobytes()
+        for row, expected in zip(rows, want):
+            assert rescale(row).tobytes() == expected.tobytes()
+
 
 def _as_ndim(row, ndim):
     """``row`` as a 1-D vector, or as the second row of a 2-D matrix under an in-range first row."""
@@ -96,23 +113,6 @@ class TestRangeCheck:
 
     def test_empty_matrix_is_accepted(self):
         assert as_confidence_vector(np.zeros((0, 3)), ndim=2).shape == (0, 3)
-
-    @given(st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=2, max_size=15))
-    @settings(max_examples=100)
-    def test_idempotent_on_non_degenerate(self, raw):
-        v = np.asarray(raw)
-        if v.max() == v.min():
-            v = v + np.linspace(0, 1, v.size)
-        once = rescale(v)
-        np.testing.assert_allclose(rescale(once), once, atol=1e-15)
-
-    @given(raw_matrices)
-    @settings(max_examples=200)
-    def test_matches_plain_python_per_row(self, rows):
-        want = np.array([[(x - min(row)) / (max(row) - min(row)) for x in row] for row in rows])
-        assert as_confidence_vector(rows, ndim=2, normalize=True).tobytes() == want.tobytes()
-        for row, expected in zip(rows, want):
-            assert rescale(row).tobytes() == expected.tobytes()
 
 
 class TestAsLabelVector:
