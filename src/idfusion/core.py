@@ -12,7 +12,8 @@ from.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,25 +33,59 @@ class ValidationError(ValueError):
     """Input data violates a documented contract (bad shape, range, or value)."""
 
 
-def read_lines(path, what: str, comment: str | None = "#") -> tuple[list[str], Callable[[int], str]]:
-    """The stripped data lines of a text file, and ``where(k)``: ``path:line`` of data line ``k``.
+_READ_BLOCK_CHARS = 1 << 20  # text per block: a block, not the file, is in memory at once
 
-    Blank lines are skipped, and so are lines starting with ``comment`` (``None``: no comments).
-    ``where`` counts the skipped lines by rescanning, so call it only to report an error.
+
+@contextmanager
+def read_lines(path, what: str, comment: str | None = "#") -> Iterator[Iterator[tuple[list[str], Sequence[int]]]]:
+    """The stripped data lines of a text file, parsed in blocks: ``with read_lines(...) as blocks``.
+
+    Each block is a ``(lines, numbers)`` pair for about 1 MiB of text; ``numbers[k]`` is the
+    1-based file line of ``lines[k]``, for ``path:line`` in errors. Blank lines are skipped, and
+    so are lines starting with ``comment`` (``None``: no comments). Lines end at ``\\n``,
+    ``\\r\\n`` or ``\\r`` only, as when iterating over a text file; other characters that
+    :meth:`str.splitlines` breaks at, such as a form feed, stay in the line.
     An unreadable or undecodable file raises :class:`ValidationError` "cannot read <what> <path>: ...".
+    When the body raises a :class:`ValidationError` at a bad line, the rest of the file is read
+    first, so an undecodable byte anywhere in it is reported instead, as for a file read whole.
     """
-    p = Path(path)
+    blocks = _line_blocks(Path(path), what, comment)
     try:
-        lines = [ln.strip() for ln in p.read_text().splitlines()]
+        yield blocks
+    except ValidationError:
+        for _ in blocks:
+            pass
+        raise
+    finally:
+        blocks.close()
+
+
+def _line_blocks(p: Path, what: str, comment: str | None) -> Iterator[tuple[list[str], Sequence[int]]]:
+    try:
+        with open(p) as f:  # the encoding and newlines of Path.read_text: \r\n and \r read as \n
+            n, rest = 0, ""  # lines before this block, and the start of a line the last block cut
+            while True:
+                text = f.read(_READ_BLOCK_CHARS)
+                raw = (rest + text).split("\n")
+                rest = raw.pop() if text else ""
+                raw = [line.strip() for line in raw]
+                lines = [line for line in raw if line and line[0] != comment]
+                if len(lines) == len(raw):
+                    numbers: Sequence[int] = range(n + 1, n + 1 + len(raw))
+                else:
+                    numbers = [n + 1 + k for k, line in enumerate(raw) if line and line[0] != comment]
+                if lines:
+                    yield lines, numbers
+                n += len(raw)
+                if not text:
+                    return
     except (OSError, UnicodeDecodeError) as exc:
+        if isinstance(exc, UnicodeDecodeError):
+            try:  # decoded whole, the error gives the bad byte's offset in the file, not in a block
+                p.read_text()
+            except (OSError, UnicodeDecodeError) as whole:
+                exc = whole
         raise ValidationError(f"cannot read {what} {p}: {exc}") from exc
-    data = [ln for ln in lines if ln and ln[0] != comment]
-
-    def where(k: int) -> str:
-        numbers = [n for n, ln in enumerate(lines, start=1) if ln and ln[0] != comment]
-        return f"{p}:{numbers[k]}"
-
-    return data, where
 
 
 def as_confidence_vector(
@@ -61,7 +96,8 @@ def as_confidence_vector(
     ``ndim`` is 1 for a single vector and 2 for an N x M matrix of them.
     Requires at least 2 classes and finite entries. With ``normalize`` each
     raw row is min-max rescaled into [0, 1] as ``(v - lo) / (hi - lo)``, and
-    a constant row, which ranks no class, is an error; without it the
+    a constant row, which ranks no class, is an error, as is a row whose
+    span ``hi - lo`` overflows to infinity; without it the
     values must already lie inside [0, 1]. That range check is also the
     finiteness check: ``min`` and ``max`` propagate a NaN, and an infinity
     lies outside [0, 1], so the entries are scanned for NaN or infinity
@@ -78,9 +114,12 @@ def as_confidence_vector(
         raise ValidationError(f"{name} contains NaN or infinite entries")
     if normalize:
         lo = v.min(axis=-1, keepdims=True)
-        span = v.max(axis=-1, keepdims=True) - lo
+        with np.errstate(over="ignore"):  # a finite row can still be too wide: checked below
+            span = v.max(axis=-1, keepdims=True) - lo
         if np.any(span == 0.0):
             raise ValidationError(f"{name} has a constant row, which ranks no class")
+        if np.any(span == np.inf):
+            raise ValidationError(f"{name} has a row whose span max - min overflows float64")
         return (v - lo) / span
     if not in_range:
         raise ValidationError(

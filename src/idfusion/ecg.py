@@ -182,34 +182,38 @@ def read_signal(path, sample_rate: float | None = None) -> EcgSignal:
     explicitly; plain text has no timing, so the default rate applies.
     """
     p = Path(path)
-    data, where = read_lines(p, "signal file")
-    if not data:
+    csv = p.suffix.lower() == ".csv"
+    times: list[float] = []
+    values: list[float] = []
+    numbers: list[int] = []
+    with read_lines(p, "signal file") as blocks:
+        for lines, block_numbers in blocks:
+            numbers += block_numbers
+            if not csv:
+                try:
+                    for ln in lines:
+                        values.append(float(ln))
+                except ValueError as exc:
+                    raise ValidationError(f"{p}:{numbers[len(values)]}: non-numeric line in signal file") from exc
+                continue
+            for ln, n in zip(lines, block_numbers):
+                parts = [x.strip() for x in ln.split(",")]
+                if len(parts) != 2:
+                    raise ValidationError(f"{p}:{n}: expected 'time,value', got {ln!r}")
+                try:
+                    times.append(float(parts[0]))
+                    values.append(float(parts[1]))
+                except ValueError as exc:
+                    raise ValidationError(f"{p}:{n}: non-numeric field") from exc
+    if not numbers:
         raise ValidationError(f"signal file {p} is empty")
-    if p.suffix.lower() == ".csv":
-        times, values = [], []
-        for k, ln in enumerate(data):
-            parts = [x.strip() for x in ln.split(",")]
-            if len(parts) != 2:
-                raise ValidationError(f"{where(k)}: expected 'time,value', got {ln!r}")
-            try:
-                times.append(float(parts[0]))
-                values.append(float(parts[1]))
-            except ValueError as exc:
-                raise ValidationError(f"{where(k)}: non-numeric field") from exc
-        if sample_rate is None:
-            dt = np.diff(np.asarray(times))
-            back = np.nonzero(dt <= 0)[0]
-            if dt.size == 0 or back.size:
-                at = where(int(back[0]) + 1) if back.size else str(p)
-                raise ValidationError(f"{at}: time column must be strictly increasing")
-            sample_rate = float(1.0 / np.median(dt))
-        return EcgSignal(samples=np.asarray(values), sample_rate=sample_rate)
-    values = []
-    try:
-        for ln in data:
-            values.append(float(ln))
-    except ValueError as exc:
-        raise ValidationError(f"{where(len(values))}: non-numeric line in signal file") from exc
+    if csv and sample_rate is None:
+        dt = np.diff(np.asarray(times))
+        back = np.nonzero(dt <= 0)[0]
+        if dt.size == 0 or back.size:
+            at = f"{p}:{numbers[int(back[0]) + 1]}" if back.size else str(p)
+            raise ValidationError(f"{at}: time column must be strictly increasing")
+        sample_rate = float(1.0 / np.median(dt))
     return EcgSignal(
         samples=np.asarray(values),
         sample_rate=DEFAULT_SAMPLE_RATE if sample_rate is None else sample_rate,

@@ -6,15 +6,19 @@ confidence columns are named ``<modality>_<index>``, which carries both
 the modality tag and the class count. Floats are written with ``repr`` so
 a write/read round trip is bit-exact. A score file is written one row at
 a time, so a dump holds one row's text in memory, not the whole file. It
-is parsed in bulk: each line is split once into id, label and confidence
-text, and ``np.loadtxt`` converts all confidences in one call. A file the
-bulk parse cannot take (a wrong field count, a repeated id, a number only
-``float()`` reads, such as ``1_0``) is parsed again line by line, which
-names the first bad line.
+is parsed in blocks of about 1 MiB of text, so a load holds one block's
+text, not the whole file: each line is split once into id, label and
+confidence text, and ``np.loadtxt`` converts the block's confidences in
+one call. A block the bulk parse cannot take (a wrong field count, a
+repeated id, a number only ``float()`` reads, such as ``1_0``) is parsed
+again line by line, which names the first bad line. Checks that span
+rows (the label base, non-finite, constant and too-wide rows, the [0, 1]
+range) run after the last block.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -50,46 +54,23 @@ def load_score_matrix(path, normalize: bool = True) -> tuple[ConfidenceMatrix, n
     is min-max rescaled; disable it for files that are already in [0, 1],
     and a row outside [0, 1] is rejected with its line.
     A constant row is rejected in both modes: its argmax would silently be
-    class 0. So is a row with a NaN or infinite confidence. A sample id may
+    class 0. So is a row with a NaN or infinite confidence, and, with
+    ``normalize``, a row whose span max - min overflows. A sample id may
     start with ``#``: score files have no comments.
     """
     p = Path(path)
-    lines, where = read_lines(p, "score file", comment=None)
-    if not lines:
-        raise ValidationError(f"{p}: empty score file")
+    with read_lines(p, "score file", comment=None) as blocks:
+        modality, ids, labels, numbers, values = _parse_blocks(p, blocks)
+    m = values.shape[1]
 
-    cols = [c.strip() for c in lines[0].split(",")]
-    if len(cols) < 4 or cols[0] != "sample_id" or cols[1] != "true_label":
-        raise ValidationError(f"{where(0)}: header must be 'sample_id,true_label,<modality>_0,...'")
-    conf_cols = cols[2:]
-    m = len(conf_cols)
-    modality, _, first_idx = conf_cols[0].rpartition("_")
-    if not modality or first_idx != "0":
-        raise ValidationError(f"{where(0)}: first confidence column must be '<modality>_0'")
-    if conf_cols != [f"{modality}_{j}" for j in range(m)]:
-        raise ValidationError(f"{where(0)}: confidence columns must be {modality}_0..{modality}_{m - 1}")
-
-    fields = [line.split(",", 2) for line in lines[1:]]
-    if not fields:
-        raise ValidationError(f"{p}: no data rows")
-    values = None
-    try:
-        ids = dict.fromkeys(f[0].strip() for f in fields)  # an ordered set
-        labels = [int(f[1]) for f in fields]
-        tails = [f[2] for f in fields]
-        if all(tails):  # loadtxt skips an empty tail ("a,0,"), and warns if every tail is
-            values = np.loadtxt(tails, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-    except (IndexError, ValueError):
-        pass
-    # a short line, a bad number, a wrong column count or a repeated id: find it line by line
-    if values is None or values.shape != (len(fields), m) or len(ids) != len(fields):
-        ids, labels, values = _parse_rows(lines, where, m)
+    def where(k: int) -> str:
+        return f"{p}:{numbers[k]}"
 
     try:
         y = np.asarray(labels, dtype=np.int64)
     except OverflowError:
         k = next(k for k, v in enumerate(labels) if not -(2**63) <= v < 2**63)
-        raise ValidationError(f"{where(k + 1)}: label out of range for {m} classes") from None
+        raise ValidationError(f"{where(k)}: label out of range for {m} classes") from None
     lo, hi = int(y.min()), int(y.max())
     if 0 < lo and hi - lo < m - 1:  # bases lo - 1 and lo both fit every label
         raise ValidationError(
@@ -99,47 +80,111 @@ def load_score_matrix(path, normalize: bool = True) -> tuple[ConfidenceMatrix, n
     y -= max(lo, 0)
     bad = np.nonzero((y < 0) | (y >= m))[0]
     if bad.size:
-        raise ValidationError(f"{where(int(bad[0]) + 1)}: label out of range for {m} classes")
+        raise ValidationError(f"{where(int(bad[0]))}: label out of range for {m} classes")
     bad = np.nonzero(~np.isfinite(values).all(axis=1))[0]
     if bad.size:
-        raise ValidationError(f"{where(int(bad[0]) + 1)}: NaN or infinite confidence")
-    flat = np.nonzero(values.max(axis=1) - values.min(axis=1) == 0.0)[0]
+        raise ValidationError(f"{where(int(bad[0]))}: NaN or infinite confidence")
+    with np.errstate(over="ignore"):  # a finite row can still be too wide: checked below
+        span = values.max(axis=1) - values.min(axis=1)
+    flat = np.nonzero(span == 0.0)[0]
     if flat.size:
-        raise ValidationError(f"{where(int(flat[0]) + 1)}: constant score row ranks no class")
+        raise ValidationError(f"{where(int(flat[0]))}: constant score row ranks no class")
     if normalize:
+        wide = np.nonzero(span == np.inf)[0]
+        if wide.size:
+            raise ValidationError(f"{where(int(wide[0]))}: score row span overflows float64; it cannot be normalized")
         values = as_confidence_vector(values, ndim=2, normalize=True)
     else:
         bad = np.nonzero(((values < 0.0) | (values > 1.0)).any(axis=1))[0]
         if bad.size:
-            raise ValidationError(f"{where(int(bad[0]) + 1)}: confidence outside [0, 1] without normalization")
+            raise ValidationError(f"{where(int(bad[0]))}: confidence outside [0, 1] without normalization")
     return ConfidenceMatrix(values=values, sample_ids=tuple(ids), modality=modality), y
 
 
-def _parse_rows(lines, where, m: int) -> tuple[dict[str, None], list[int], np.ndarray]:
-    """Parse the data lines one by one, naming the line of the first bad one.
+def _parse_blocks(p: Path, blocks) -> tuple[str, dict[str, None], list[int], list[int], np.ndarray]:
+    """Check the header, then parse the data rows block by block.
 
-    The fallback of :func:`load_score_matrix`: it also accepts the numbers
-    ``float()`` reads and ``np.loadtxt`` does not, such as ``1_0``.
+    Returns the modality tag, the sample ids (an ordered set), the labels,
+    the file line of each row and the raw confidences.
     """
+    first = next(blocks, None)
+    if first is None:
+        raise ValidationError(f"{p}: empty score file")
+    header = f"{p}:{first[1][0]}"
+    cols = [c.strip() for c in first[0][0].split(",")]
+    if len(cols) < 4 or cols[0] != "sample_id" or cols[1] != "true_label":
+        raise ValidationError(f"{header}: header must be 'sample_id,true_label,<modality>_0,...'")
+    conf_cols = cols[2:]
+    m = len(conf_cols)
+    modality, _, first_idx = conf_cols[0].rpartition("_")
+    if not modality or first_idx != "0":
+        raise ValidationError(f"{header}: first confidence column must be '<modality>_0'")
+    if conf_cols != [f"{modality}_{j}" for j in range(m)]:
+        raise ValidationError(f"{header}: confidence columns must be {modality}_0..{modality}_{m - 1}")
+
     ids: dict[str, None] = {}  # an ordered set
     labels: list[int] = []
+    numbers: list[int] = []
+    chunks: list[np.ndarray] = []
+    for lines, block_numbers in itertools.chain([(first[0][1:], first[1][1:])], blocks):
+        if lines:
+            block_labels, values = _parse_block(p, lines, block_numbers, ids, m)
+            labels += block_labels
+            numbers += block_numbers
+            chunks.append(values)
+    if not chunks:
+        raise ValidationError(f"{p}: no data rows")
+    return modality, ids, labels, numbers, np.concatenate(chunks)
+
+
+def _parse_block(p: Path, lines, numbers, ids: dict[str, None], m: int) -> tuple[list[int], np.ndarray]:
+    """Parse one block of data rows in bulk, adding their ids to ``ids``.
+
+    Each line is split once into id, label and confidence text, and
+    ``np.loadtxt`` converts the block's confidences in one call. A block the
+    bulk parse cannot take goes to :func:`_parse_rows`.
+    """
+    fields = [line.split(",", 2) for line in lines]
+    try:
+        new = dict.fromkeys(f[0].strip() for f in fields)
+        labels = [int(f[1]) for f in fields]
+        tails = [f[2] for f in fields]
+        # loadtxt skips an empty tail ("a,0,"), and warns if every tail is
+        if all(tails) and len(new) == len(fields) and ids.keys().isdisjoint(new):
+            values = np.loadtxt(tails, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+            if values.shape == (len(fields), m):
+                ids.update(new)
+                return labels, values
+    except (IndexError, ValueError):
+        pass
+    # a short line, a bad number, a wrong column count or a repeated id: find it line by line
+    return _parse_rows(p, lines, numbers, ids, m)
+
+
+def _parse_rows(p: Path, lines, numbers, ids: dict[str, None], m: int) -> tuple[list[int], np.ndarray]:
+    """Parse a block's rows one by one, naming the line of the first bad one.
+
+    The fallback of :func:`_parse_block`: it also accepts the numbers
+    ``float()`` reads and ``np.loadtxt`` does not, such as ``1_0``.
+    """
+    labels: list[int] = []
     rows: list[list[float]] = []
-    for k in range(1, len(lines)):
-        parts = lines[k].split(",")  # int() and float() ignore the spaces around a field
+    for line, n in zip(lines, numbers):
+        parts = line.split(",")  # int() and float() ignore the spaces around a field
         if len(parts) != m + 2:
-            raise ValidationError(f"{where(k)}: expected {m + 2} fields, got {len(parts)}")
+            raise ValidationError(f"{p}:{n}: expected {m + 2} fields, got {len(parts)}")
         sid = parts[0].strip()
         if sid in ids:
-            raise ValidationError(f"{where(k)}: duplicate sample_id {sid!r}")
+            raise ValidationError(f"{p}:{n}: duplicate sample_id {sid!r}")
         try:
             label = int(parts[1])
             conf = [float(x) for x in parts[2:]]
         except ValueError as exc:
-            raise ValidationError(f"{where(k)}: non-numeric field") from exc
+            raise ValidationError(f"{p}:{n}: non-numeric field") from exc
         ids[sid] = None
         labels.append(label)
         rows.append(conf)
-    return ids, labels, np.asarray(rows, dtype=np.float64)
+    return labels, np.asarray(rows, dtype=np.float64)
 
 
 def write_score_matrix(matrix: ConfidenceMatrix, labels, path) -> None:
@@ -306,17 +351,19 @@ def load_fusion_model(path) -> FusionModel:
 
 def parse_config_file(path) -> dict[str, str]:
     """Read a flat ``key = value`` config; keys match CLI flag names."""
-    lines, where = read_lines(path, "config")
+    p = Path(path)
     out: dict[str, str] = {}
-    for k, line in enumerate(lines):
-        if "=" not in line:
-            raise ValidationError(f"{where(k)}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
-            raise ValidationError(f"{where(k)}: empty key or value")
-        if key in out:
-            raise ValidationError(f"{where(k)}: duplicate key {key!r}")
-        out[key] = value
+    with read_lines(p, "config") as blocks:
+        for lines, numbers in blocks:
+            for line, n in zip(lines, numbers):
+                if "=" not in line:
+                    raise ValidationError(f"{p}:{n}: expected 'key = value', got {line!r}")
+                key, _, value = line.partition("=")
+                key = key.strip()
+                value = value.strip()
+                if not key or not value:
+                    raise ValidationError(f"{p}:{n}: empty key or value")
+                if key in out:
+                    raise ValidationError(f"{p}:{n}: duplicate key {key!r}")
+                out[key] = value
     return out

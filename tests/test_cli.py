@@ -148,6 +148,19 @@ class TestEvaluate:
         ok.write_text("sample_id,true_label,ecg_0,ecg_1\na,0,0.5,0.5\n")
         assert run_cli("evaluate", "--face", str(bad), "--ecg", str(ok)) == EXIT_DATA
 
+    def test_span_overflow_row_is_data_error(self, tmp_path, capsys):
+        # finite entries whose max - min overflows: one line naming the row, not NaN scores
+        data = Path(__file__).parent / "data"
+        face = tmp_path / "face.csv"
+        lines = (data / "face_raw.csv").read_text().splitlines()
+        lines[1] = "s00,1,-1e308,1e308,0,0,0,0"
+        face.write_text("\n".join(lines) + "\n")
+        code = run_cli("evaluate", "--face", str(face), "--ecg", str(data / "ecg_raw.csv"), "--folds", "5")
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid data: {face}:2: score row span overflows float64; it cannot be normalized\n"
+
     def test_requires_both_files(self, capsys):
         assert run_cli("evaluate", "--face", "only.csv") == EXIT_USAGE
 

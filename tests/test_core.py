@@ -76,10 +76,17 @@ class TestMinmaxNormalize:
         for row, expected in zip(rows, want):
             assert rescale(row).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_span_overflow_is_rejected(self, ndim):
+        # every entry is finite, but max - min is not: the row would divide to NaN
+        message = "^confidence vector has a row whose span max - min overflows float64$"
+        with pytest.raises(ValidationError, match=message):
+            as_confidence_vector(_as_ndim([-1e308, 0.0, 1e308], ndim), ndim=ndim, normalize=True)
+
 
 def _as_ndim(row, ndim):
     """``row`` as a 1-D vector, or as the second row of a 2-D matrix under an in-range first row."""
-    return row if ndim == 1 else [[0.25, 0.75], row]
+    return row if ndim == 1 else [[0.25] * (len(row) - 1) + [0.75], row]
 
 
 class TestRangeCheck:

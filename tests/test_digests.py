@@ -7,6 +7,7 @@ the same change and says so; an optimisation that alters one is a bug.
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from idfusion.cli import EXIT_OK, main
@@ -149,3 +150,20 @@ def test_cli_outputs_are_pinned(tmp_path, capsys, case):
     written = [Path(a.format(tmp=tmp_path)) for a in args if a.startswith("{tmp}")]
     out = written[0].read_bytes() if written else capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+# Every simulated digest above rests on numpy's random streams. A numpy release
+# that changes them fails this one test by name, before the digests fail at once.
+NUMPY_STREAMS = {
+    "standard_normal(64)": "4e7a2ece1420539c",
+    "permutation(20)": "2942c8bcff0b3a3b",
+}
+
+
+def test_numpy_random_streams_are_pinned():
+    draws = {
+        "standard_normal(64)": np.random.default_rng(0).standard_normal(64).astype("<f8"),
+        "permutation(20)": np.random.default_rng(0).permutation(20).astype("<i8"),
+    }
+    got = {name: hashlib.sha256(v.tobytes()).hexdigest()[:16] for name, v in draws.items()}
+    assert got == NUMPY_STREAMS

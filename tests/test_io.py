@@ -1,15 +1,18 @@
 """Score CSVs, report serialization, config files, and model persistence."""
 
+import re
 import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idfusion import core
 from idfusion.core import ConfidenceMatrix, ValidationError, as_confidence_vector
 from idfusion.ecg import read_signal
 from idfusion.evaluation import EvalConfig, run_experiment, train_fusion_model
@@ -95,6 +98,26 @@ class TestScoreFiles:
         finally:
             tracemalloc.stop()
         assert peak < 1e6  # the file is about 3.3 MB of text
+
+    def test_loader_memory_does_not_hold_the_file(self, tmp_path):
+        # an 8700 x 87 raw score file, as evaluate reads at the paper's scale
+        raw = np.random.default_rng(0).normal(size=(8700, 87))
+        path = tmp_path / "raw.csv"
+        with open(path, "w") as f:
+            f.write("sample_id,true_label," + ",".join(f"face_{j}" for j in range(87)) + "\n")
+            for i, row in enumerate(raw.tolist()):
+                f.write(f"r{i},{i % 87}," + ",".join(map(repr, row)) + "\n")
+        tracemalloc.start()
+        try:
+            matrix, _ = load_score_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # rows cut between blocks are joined again
+        assert matrix.values.tobytes() == as_confidence_vector(raw, ndim=2, normalize=True).tobytes()
+        # the file is about 15 MB of text and the matrix 6.1 MB: the peak is a few matrices,
+        # not a few copies of the text
+        assert peak < 30e6
 
     def test_wrong_field_count_names_line(self, tmp_path):
         # the blank line counts: errors name the line in the file
@@ -259,6 +282,107 @@ class TestScoreFiles:
         np.testing.assert_array_equal(back.ecg.values, ds.ecg.values)
         np.testing.assert_array_equal(back.labels, ds.labels)
 
+    def test_span_overflow_names_line(self, tmp_path):
+        # each entry is finite, but max - min overflows: the row cannot be min-max rescaled
+        path = _write(
+            tmp_path / "wide.csv",
+            ["sample_id,true_label,face_0,face_1", "a,0,0.9,0.1", "b,1,-1e308,1e308", "c,0,0.2,0.7"],
+        )
+        with pytest.raises(ValidationError, match="^.*wide.csv:3: score row span overflows float64; it cannot be normalized$"):
+            load_score_matrix(path)
+        # without normalization the row is simply outside [0, 1]
+        with pytest.raises(ValidationError, match=r"wide.csv:3: confidence outside \[0, 1\]"):
+            load_score_matrix(path, normalize=False)
+
+
+def _rows(n, m=2):
+    """A score CSV's header and ``n`` valid rows; the row of id ``r{i}`` is line ``i + 2``."""
+    lines = ["sample_id,true_label," + ",".join(f"face_{j}" for j in range(m))]
+    lines += [f"r{i},{i % m}," + ",".join("0.9" if j == i % m else "0.1" for j in range(m)) for i in range(n)]
+    return lines
+
+
+class TestLineReader:
+    """Score, config and signal files are read in blocks of lines; errors still name the file line."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_endings(self, tmp_path, newline):
+        path = tmp_path / "face.csv"
+        path.write_bytes(newline.join(_rows(3)).encode() + newline.encode())
+        matrix, labels = load_score_matrix(path)
+        assert matrix.sample_ids == ("r0", "r1", "r2")
+        np.testing.assert_array_equal(labels, [0, 1, 0])
+
+    @pytest.mark.parametrize(
+        "sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+        ids=["vt", "ff", "fs", "gs", "rs", "nel", "line-sep", "para-sep"],
+    )
+    def test_only_newline_and_carriage_return_end_a_line(self, tmp_path, sep):
+        # str.splitlines would also break lines at these characters and shift every later line number
+        lines = _rows(2)
+        lines[1] = f"r{sep}0,0,0.9,0.1"
+        path = _write(tmp_path / "sep.csv", lines[:2] + [sep] + lines[2:] + ["r2,0,0.9"])
+        with pytest.raises(ValidationError, match="sep.csv:5: expected 4 fields, got 3"):
+            load_score_matrix(path)
+        path = _write(tmp_path / "sep.csv", lines[:2] + [sep] + lines[2:])
+        assert load_score_matrix(path)[0].sample_ids == (f"r{sep}0", "r1")
+
+    def test_undecodable_byte_in_a_late_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "_READ_BLOCK_CHARS", 4096)  # the file is 19 KB: line 1101 is in block 5
+        lines = _rows(1200)
+        lines[1100] = "r1099,1,0.1,\xff0.9"
+        path = tmp_path / "late.csv"
+        path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+        with pytest.raises(UnicodeDecodeError) as whole:
+            path.read_text()
+        # the same message as when the file was decoded whole: the offset is the byte's in the file
+        with pytest.raises(ValidationError, match=f"^cannot read score file {re.escape(str(path))}: ") as got:
+            load_score_matrix(path)
+        assert str(got.value) == f"cannot read score file {path}: {whole.value}"
+
+    def test_undecodable_byte_is_reported_before_an_earlier_bad_row(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "_READ_BLOCK_CHARS", 4096)
+        lines = _rows(1200)
+        lines[3] = "r2,0,0.9"
+        lines[1100] = "r1099,1,0.1,\xff0.9"
+        path = tmp_path / "late.csv"
+        path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
+        with pytest.raises(ValidationError, match="cannot read score file .*late.csv: .*decode"):
+            load_score_matrix(path)
+
+    def test_duplicate_id_across_a_block_boundary_names_its_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "_READ_BLOCK_CHARS", 4096)
+        lines = _rows(1100)
+        lines[1030] = "r3" + lines[1030][lines[1030].index(","):]
+        path = _write(tmp_path / "dup.csv", lines)
+        with pytest.raises(ValidationError, match="^.*dup.csv:1031: duplicate sample_id 'r3'$"):
+            load_score_matrix(path)
+
+    @pytest.mark.parametrize(
+        "reader, name, lines, message",
+        [
+            (load_score_matrix, "s.csv", _rows(3)[:2] + ["", "r1,1,0.1,0.9", "r2,0,0.9"],
+             "s.csv:5: expected 4 fields, got 3"),
+            (load_score_matrix, "s.csv", _rows(3)[:2] + ["", "r1,1,0.1,0.9", "r0,0,0.9,0.1"],
+             "s.csv:5: duplicate sample_id 'r0'"),
+            (load_score_matrix, "s.csv", _rows(3)[:2] + ["", "r1,1,0.1,0.9", "r2,2,0.9,0.1"],
+             "s.csv:5: label out of range for 2 classes"),
+            (parse_config_file, "exp.cfg", ["# comment", "seed = 1", "", "folds = 2", "bound 0.1"],
+             "exp.cfg:5: expected 'key = value'"),
+            (read_signal, "sig.txt", ["# comment", "0.1", "", "0.2", "x"],
+             "sig.txt:5: non-numeric line"),
+            (read_signal, "sig.csv", ["0,0.1", "# comment", "0.1,0.2", "", "0.1,0.3"],
+             "sig.csv:5: time column must be strictly increasing"),
+        ],
+        ids=["score-fields", "score-duplicate", "score-label", "config", "signal-text", "signal-csv"],
+    )
+    @pytest.mark.parametrize("block", [1, 5, 16])
+    def test_small_blocks_keep_line_numbers(self, tmp_path, monkeypatch, block, reader, name, lines, message):
+        # blocks of a few characters: lines are cut between blocks, and blocks hold no line or several
+        monkeypatch.setattr(core, "_READ_BLOCK_CHARS", block)
+        with pytest.raises(ValidationError, match=f"^.*{re.escape(message)}"):
+            reader(_write(tmp_path / name, lines))
+
 
 _FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
 
@@ -330,6 +454,18 @@ def _plain_read(path):
 @given(_score_lines())
 @settings(max_examples=300, deadline=None)
 def test_loader_matches_plain_reader(lines):
+    _check_loader_matches_plain_reader(lines)
+
+
+@given(_score_lines(), st.integers(1, 48))
+@settings(max_examples=300, deadline=None)
+def test_loader_matches_plain_reader_in_small_blocks(lines, block):
+    # the same files, read in blocks of 1 to 48 characters, so that rows and defects straddle blocks
+    with mock.patch.object(core, "_READ_BLOCK_CHARS", block):
+        _check_loader_matches_plain_reader(lines)
+
+
+def _check_loader_matches_plain_reader(lines):
     with tempfile.TemporaryDirectory() as d, warnings.catch_warnings():
         warnings.simplefilter("error")  # the bulk parse must leak no numpy warning
         path = _write(Path(d) / "face.csv", lines)
