@@ -12,7 +12,7 @@ from.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,6 +25,7 @@ __all__ = [
     "PairedDataset",
     "as_confidence_vector",
     "as_label_vector",
+    "line_ref",
     "read_lines",
 ]
 
@@ -36,12 +37,17 @@ class ValidationError(ValueError):
 _READ_BLOCK_CHARS = 1 << 20  # text per block: a block, not the file, is in memory at once
 
 
+def line_ref(path, line: int) -> str:
+    """``path:line``: how an error names a line of an input file."""
+    return f"{path}:{line}"
+
+
 @contextmanager
-def read_lines(path, what: str, comment: str | None = "#") -> Iterator[Iterator[tuple[list[str], Sequence[int]]]]:
+def read_lines(path, what: str, comment: str | None = "#") -> Iterator[Iterator[tuple[list[str], list[int]]]]:
     """The stripped data lines of a text file, parsed in blocks: ``with read_lines(...) as blocks``.
 
     Each block is a ``(lines, numbers)`` pair for about 1 MiB of text; ``numbers[k]`` is the
-    1-based file line of ``lines[k]``, for ``path:line`` in errors. Blank lines are skipped, and
+    1-based file line of ``lines[k]``, for :func:`line_ref` in errors. Blank lines are skipped, and
     so are lines starting with ``comment`` (``None``: no comments). Lines end at ``\\n``,
     ``\\r\\n`` or ``\\r`` only, as when iterating over a text file; other characters that
     :meth:`str.splitlines` breaks at, such as a form feed, stay in the line.
@@ -60,22 +66,22 @@ def read_lines(path, what: str, comment: str | None = "#") -> Iterator[Iterator[
         blocks.close()
 
 
-def _line_blocks(p: Path, what: str, comment: str | None) -> Iterator[tuple[list[str], Sequence[int]]]:
+def _line_blocks(p: Path, what: str, comment: str | None) -> Iterator[tuple[list[str], list[int]]]:
     try:
         with open(p) as f:  # the encoding and newlines of Path.read_text: \r\n and \r read as \n
-            n, rest = 0, ""  # lines before this block, and the start of a line the last block cut
+            n = 0  # lines before this block
+            pieces: list[str] = []  # the text of a line no newline has ended yet
             while True:
                 text = f.read(_READ_BLOCK_CHARS)
-                raw = (rest + text).split("\n")
-                rest = raw.pop() if text else ""
+                pieces.append(text)
+                if text and "\n" not in text:  # a long line is joined once, when it ends
+                    continue
+                raw = "".join(pieces).split("\n")
+                pieces = [raw.pop()] if text else []
                 raw = [line.strip() for line in raw]
                 lines = [line for line in raw if line and line[0] != comment]
-                if len(lines) == len(raw):
-                    numbers: Sequence[int] = range(n + 1, n + 1 + len(raw))
-                else:
-                    numbers = [n + 1 + k for k, line in enumerate(raw) if line and line[0] != comment]
                 if lines:
-                    yield lines, numbers
+                    yield lines, [k for k, line in enumerate(raw, n + 1) if line and line[0] != comment]
                 n += len(raw)
                 if not text:
                     return

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ValidationError, as_confidence_vector, read_lines
+from .core import ValidationError, as_confidence_vector, line_ref, read_lines
 
 __all__ = [
     "EcgSignal",
@@ -194,24 +194,24 @@ def read_signal(path, sample_rate: float | None = None) -> EcgSignal:
                     for ln in lines:
                         values.append(float(ln))
                 except ValueError as exc:
-                    raise ValidationError(f"{p}:{numbers[len(values)]}: non-numeric line in signal file") from exc
+                    raise ValidationError(f"{line_ref(p, numbers[len(values)])}: non-numeric line in signal file") from exc
                 continue
             for ln, n in zip(lines, block_numbers):
                 parts = [x.strip() for x in ln.split(",")]
                 if len(parts) != 2:
-                    raise ValidationError(f"{p}:{n}: expected 'time,value', got {ln!r}")
+                    raise ValidationError(f"{line_ref(p, n)}: expected 'time,value', got {ln!r}")
                 try:
                     times.append(float(parts[0]))
                     values.append(float(parts[1]))
                 except ValueError as exc:
-                    raise ValidationError(f"{p}:{n}: non-numeric field") from exc
+                    raise ValidationError(f"{line_ref(p, n)}: non-numeric field") from exc
     if not numbers:
         raise ValidationError(f"signal file {p} is empty")
     if csv and sample_rate is None:
         dt = np.diff(np.asarray(times))
         back = np.nonzero(dt <= 0)[0]
         if dt.size == 0 or back.size:
-            at = f"{p}:{numbers[int(back[0]) + 1]}" if back.size else str(p)
+            at = line_ref(p, numbers[int(back[0]) + 1]) if back.size else str(p)
             raise ValidationError(f"{at}: time column must be strictly increasing")
         sample_rate = float(1.0 / np.median(dt))
     return EcgSignal(

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfidenceMatrix, PairedDataset, ValidationError, as_confidence_vector, read_lines
+from .core import ConfidenceMatrix, PairedDataset, ValidationError, as_confidence_vector, line_ref, read_lines
 from .evaluation import ExperimentReport
 from .fusion import DifferenceVector, FusionModel
 
@@ -62,15 +62,11 @@ def load_score_matrix(path, normalize: bool = True) -> tuple[ConfidenceMatrix, n
     with read_lines(p, "score file", comment=None) as blocks:
         modality, ids, labels, numbers, values = _parse_blocks(p, blocks)
     m = values.shape[1]
-
-    def where(k: int) -> str:
-        return f"{p}:{numbers[k]}"
-
     try:
         y = np.asarray(labels, dtype=np.int64)
     except OverflowError:
         k = next(k for k, v in enumerate(labels) if not -(2**63) <= v < 2**63)
-        raise ValidationError(f"{where(k)}: label out of range for {m} classes") from None
+        raise ValidationError(f"{line_ref(p, numbers[k])}: label out of range for {m} classes") from None
     lo, hi = int(y.min()), int(y.max())
     if 0 < lo and hi - lo < m - 1:  # bases lo - 1 and lo both fit every label
         raise ValidationError(
@@ -80,24 +76,24 @@ def load_score_matrix(path, normalize: bool = True) -> tuple[ConfidenceMatrix, n
     y -= max(lo, 0)
     bad = np.nonzero((y < 0) | (y >= m))[0]
     if bad.size:
-        raise ValidationError(f"{where(int(bad[0]))}: label out of range for {m} classes")
+        raise ValidationError(f"{line_ref(p, numbers[int(bad[0])])}: label out of range for {m} classes")
     bad = np.nonzero(~np.isfinite(values).all(axis=1))[0]
     if bad.size:
-        raise ValidationError(f"{where(int(bad[0]))}: NaN or infinite confidence")
+        raise ValidationError(f"{line_ref(p, numbers[int(bad[0])])}: NaN or infinite confidence")
     with np.errstate(over="ignore"):  # a finite row can still be too wide: checked below
         span = values.max(axis=1) - values.min(axis=1)
     flat = np.nonzero(span == 0.0)[0]
     if flat.size:
-        raise ValidationError(f"{where(int(flat[0]))}: constant score row ranks no class")
+        raise ValidationError(f"{line_ref(p, numbers[int(flat[0])])}: constant score row ranks no class")
     if normalize:
         wide = np.nonzero(span == np.inf)[0]
         if wide.size:
-            raise ValidationError(f"{where(int(wide[0]))}: score row span overflows float64; it cannot be normalized")
+            raise ValidationError(f"{line_ref(p, numbers[int(wide[0])])}: score row span overflows float64; it cannot be normalized")
         values = as_confidence_vector(values, ndim=2, normalize=True)
     else:
         bad = np.nonzero(((values < 0.0) | (values > 1.0)).any(axis=1))[0]
         if bad.size:
-            raise ValidationError(f"{where(int(bad[0]))}: confidence outside [0, 1] without normalization")
+            raise ValidationError(f"{line_ref(p, numbers[int(bad[0])])}: confidence outside [0, 1] without normalization")
     return ConfidenceMatrix(values=values, sample_ids=tuple(ids), modality=modality), y
 
 
@@ -110,7 +106,7 @@ def _parse_blocks(p: Path, blocks) -> tuple[str, dict[str, None], list[int], lis
     first = next(blocks, None)
     if first is None:
         raise ValidationError(f"{p}: empty score file")
-    header = f"{p}:{first[1][0]}"
+    header = line_ref(p, first[1][0])
     cols = [c.strip() for c in first[0][0].split(",")]
     if len(cols) < 4 or cols[0] != "sample_id" or cols[1] != "true_label":
         raise ValidationError(f"{header}: header must be 'sample_id,true_label,<modality>_0,...'")
@@ -172,15 +168,15 @@ def _parse_rows(p: Path, lines, numbers, ids: dict[str, None], m: int) -> tuple[
     for line, n in zip(lines, numbers):
         parts = line.split(",")  # int() and float() ignore the spaces around a field
         if len(parts) != m + 2:
-            raise ValidationError(f"{p}:{n}: expected {m + 2} fields, got {len(parts)}")
+            raise ValidationError(f"{line_ref(p, n)}: expected {m + 2} fields, got {len(parts)}")
         sid = parts[0].strip()
         if sid in ids:
-            raise ValidationError(f"{p}:{n}: duplicate sample_id {sid!r}")
+            raise ValidationError(f"{line_ref(p, n)}: duplicate sample_id {sid!r}")
         try:
             label = int(parts[1])
             conf = [float(x) for x in parts[2:]]
         except ValueError as exc:
-            raise ValidationError(f"{p}:{n}: non-numeric field") from exc
+            raise ValidationError(f"{line_ref(p, n)}: non-numeric field") from exc
         ids[sid] = None
         labels.append(label)
         rows.append(conf)
@@ -357,13 +353,13 @@ def parse_config_file(path) -> dict[str, str]:
         for lines, numbers in blocks:
             for line, n in zip(lines, numbers):
                 if "=" not in line:
-                    raise ValidationError(f"{p}:{n}: expected 'key = value', got {line!r}")
+                    raise ValidationError(f"{line_ref(p, n)}: expected 'key = value', got {line!r}")
                 key, _, value = line.partition("=")
                 key = key.strip()
                 value = value.strip()
                 if not key or not value:
-                    raise ValidationError(f"{p}:{n}: empty key or value")
+                    raise ValidationError(f"{line_ref(p, n)}: empty key or value")
                 if key in out:
-                    raise ValidationError(f"{p}:{n}: duplicate key {key!r}")
+                    raise ValidationError(f"{line_ref(p, n)}: duplicate key {key!r}")
                 out[key] = value
     return out

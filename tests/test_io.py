@@ -383,6 +383,20 @@ class TestLineReader:
         with pytest.raises(ValidationError, match=f"^.*{re.escape(message)}"):
             reader(_write(tmp_path / name, lines))
 
+    @pytest.mark.parametrize(
+        "reader, name, lines, message",
+        [
+            (load_score_matrix, "s.csv", ["x" * 1_000_000], "s.csv:1: header must be"),
+            (parse_config_file, "exp.cfg", ["#" * 1_000_000, "bound 0.1"], "exp.cfg:2: expected 'key = value'"),
+        ],
+        ids=["score-header", "config-after-long-comment"],
+    )
+    def test_long_line_across_many_blocks(self, tmp_path, monkeypatch, reader, name, lines, message):
+        # a 1 MB line spans 16 thousand blocks; it is joined once, not once per block
+        monkeypatch.setattr(core, "_READ_BLOCK_CHARS", 64)
+        with pytest.raises(ValidationError, match=f"^.*{re.escape(message)}"):
+            reader(_write(tmp_path / name, lines))
+
 
 _FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
 
