@@ -80,6 +80,17 @@ def _parse_divisors(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in t.split(","))
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy seeds only with non-negative integers."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _parse_vector(text: str) -> np.ndarray:
     try:
         return np.asarray([float(x) for x in text.split(",")], dtype=np.float64)
@@ -95,7 +106,7 @@ def _defaults(fn) -> dict:
 def _add_run_flags(p: _Parser) -> None:
     """Flags shared by the two k-fold experiment commands."""
     run = _defaults(run_experiment)
-    p.add_argument("--seed", type=int, default=run["seed"])
+    p.add_argument("--seed", type=_seed, default=run["seed"])
     p.add_argument("--folds", type=int, default=run["k"])
     p.add_argument("--bound", type=float, default=EvalConfig.bound)
     p.add_argument("--rank-depth", type=int, default=EvalConfig.rank_depth)
@@ -159,7 +170,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mean", type=float, default=GeneratorParams.true_class_mean,
                    help="true-class logit offset")
     p.add_argument("--trials", type=int, default=cal["trials"])
-    p.add_argument("--seed", type=int, default=cal["seed"])
+    p.add_argument("--seed", type=_seed, default=cal["seed"])
     p.add_argument("--sigma-min", type=float, default=cal["sigma_range"][0])
     p.add_argument("--sigma-max", type=float, default=cal["sigma_range"][1])
     p.add_argument("--out", help="write the result JSON here instead of stdout")
@@ -186,7 +197,7 @@ def _config_defaults(command: _Parser, name: str, path) -> dict:
         conv = _parse_bool if action.nargs == 0 else (action.type or str)
         try:
             converted = conv(value)
-        except (ValueError, ValidationError) as exc:
+        except (ValueError, ValidationError, argparse.ArgumentTypeError) as exc:
             raise _UsageError(f"config key {key!r}: {exc}") from exc
         if action.choices is not None and converted not in action.choices:
             raise _UsageError(

@@ -61,8 +61,8 @@ class EcgSignal:
             raise ValidationError(f"signal must be a nonempty 1-D array, got shape {s.shape}")
         if not np.all(np.isfinite(s)):
             raise ValidationError("signal contains NaN or infinite samples")
-        if self.sample_rate <= 0:
-            raise ValidationError("sample rate must be positive")
+        if not 0.0 < self.sample_rate < np.inf:  # also false for NaN
+            raise ValidationError("sample rate must be finite and positive")
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 
@@ -89,8 +89,8 @@ class PeakDetectorConfig:
     def __post_init__(self):
         if not 0.0 < self.threshold_fraction < 1.0:
             raise ValidationError("threshold_fraction must lie in (0, 1)")
-        if self.search_window_seconds <= 0:
-            raise ValidationError("search window must be positive")
+        if not 0.0 < self.search_window_seconds < np.inf:
+            raise ValidationError("search window must be finite and positive")
 
 
 def normalize_amplitude(sig: EcgSignal) -> EcgSignal:
@@ -147,6 +147,8 @@ def gate_signal(
     """
     if not 0 <= peak_index < len(sig):
         raise ValidationError(f"peak index {peak_index} out of range [0, {len(sig)})")
+    if not 0.0 < duration_seconds < np.inf:
+        raise ValidationError("gate duration must be finite and positive")
     n_out = int(round(duration_seconds * sig.sample_rate))
     if n_out < 1:
         raise ValidationError("gate duration is shorter than one sample")

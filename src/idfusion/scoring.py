@@ -46,13 +46,15 @@ def _gaps_and_predictions(
     computes it once for all folds; only :func:`_clamped_scores` depends on order.
     """
     rows = np.arange(values.shape[0])
-    top = np.argmax(values, axis=1)  # the first maximum: ties go to the lower index
+    peak = values.max(axis=1)
+    # argmax of a read-only matrix copies it whole; argmax of a bool mask does not.
+    # The first True is the first maximum: ties go to the lower index
+    top = np.argmax(values == peak[:, None], axis=1)
     true = values[rows, labels][:, None]
     below = np.arange(values.shape[1]) < labels[:, None]
     # classes ranked above the true one: higher scores, and equal scores at lower indices
     true_rank = (values > true).sum(axis=1) + ((values == true) & below).sum(axis=1)
-    gap = values[rows, top] - true[:, 0]
-    gap = np.clip(gap, 0.0, 1.0)
+    gap = np.clip(peak - true[:, 0], 0.0, 1.0)
     out = np.where(true_rank == 0, 0.0, np.where(true_rank < rank_depth, gap, 1.0))
     return out, top
 

@@ -153,7 +153,9 @@ def generate_dataset(
 
     Every (modality, subject) pair draws from its own seeded substream, so
     the dataset is fully determined by (params, scenario, seed) no matter
-    how generation is scheduled.
+    how generation is scheduled. Both N x M matrices are views of one
+    allocation, filled one subject's rows at a time, so generation holds
+    the dataset once, plus one subject's rows.
     """
     if (face_params.num_classes, face_params.samples_per_class) != (
         ecg_params.num_classes,
@@ -163,30 +165,30 @@ def generate_dataset(
     m = face_params.num_classes
     spc = face_params.samples_per_class
 
-    face_ss, ecg_ss = _as_seedseq(seed).spawn(2)
-    blocks = {}
-    for tag, params, rule, ss in (
-        ("face", face_params, scenario.face_rule, face_ss),
-        ("ecg", ecg_params, scenario.ecg_rule, ecg_ss),
+    # one block, not one per modality: released, it leaves one contiguous free region
+    # for a later large allocation, where two blocks can end up split by a small one
+    values = np.empty((2, m * spc, m))
+    for out, params, rule, ss in zip(
+        values,
+        (face_params, ecg_params),
+        (scenario.face_rule, scenario.ecg_rule),
+        _as_seedseq(seed).spawn(2),
     ):
         children = ss.spawn(m)
-        rows = [
-            _draw_rows(
+        for subject in range(m):
+            out[subject * spc : (subject + 1) * spc] = _draw_rows(
                 spc,
                 subject,
                 rule.degraded(subject + 1),  # rules speak 1-based subject ids
                 params,
                 np.random.default_rng(children[subject]),
             )
-            for subject in range(m)
-        ]
-        blocks[tag] = np.vstack(rows)
 
     labels = np.repeat(np.arange(m), spc)
     ids = tuple(f"s{i:06d}" for i in range(m * spc))
     return PairedDataset(
-        face=ConfidenceMatrix(values=blocks["face"], sample_ids=ids, modality="face"),
-        ecg=ConfidenceMatrix(values=blocks["ecg"], sample_ids=ids, modality="ecg"),
+        face=ConfidenceMatrix(values=values[0], sample_ids=ids, modality="face"),
+        ecg=ConfidenceMatrix(values=values[1], sample_ids=ids, modality="ecg"),
         labels=labels,
     )
 

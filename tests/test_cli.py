@@ -94,8 +94,9 @@ class TestSimulate:
             ("faces = a.csv", "unknown config key"),
             ("format = jsn", "config key 'format': invalid choice"),
             ("preset = huge", "config key 'preset': invalid choice"),
+            ("seed = -1", "config key 'seed': seed must be a non-negative integer"),
         ],
-        ids=["unknown-key", "format-not-a-choice", "preset-not-a-choice"],
+        ids=["unknown-key", "format-not-a-choice", "preset-not-a-choice", "negative-seed"],
     )
     def test_unknown_config_key(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "exp.cfg"
@@ -302,6 +303,16 @@ class TestPrepEcg:
         assert run_cli("prep-ecg", "--in", str(src), "--out", str(tmp_path / "o.txt")) == EXIT_DATA
         assert capsys.readouterr().err.startswith("error: invalid data:")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--rate", "--duration", "--search-window"])
+    def test_non_finite_flag_is_data_error(self, flag, value, tmp_path, capsys):
+        src = Path(__file__).parent / "data" / "ecg_recording.txt"
+        code = run_cli("prep-ecg", "--in", str(src), "--out", str(tmp_path / "o.txt"), flag, value)
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid data:") and err.count("\n") == 1
+        assert "must be finite and positive" in err
+
 
 class TestCalibrateCommand:
     def test_writes_result_json(self, tmp_path):
@@ -361,6 +372,16 @@ class TestUsageAndExitCodes:
 
     def test_unknown_flag(self, capsys):
         assert run_cli("simulate", "--bogus") == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate"], ["evaluate", "--face", "f.csv", "--ecg", "e.csv"], ["calibrate", "--target", "0.9"]],
+        ids=["simulate", "evaluate", "calibrate"],
+    )
+    def test_negative_seed_is_usage_error(self, argv, capsys):
+        assert run_cli(*argv, "--seed", "-1") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: usage: argument --seed: seed must be a non-negative integer, got '-1'\n"
 
     def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         code = run_cli(

@@ -1,11 +1,13 @@
 """Subject scoring: the per-sample confidence gap and the award/punish loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idfusion.core import ValidationError
+from idfusion.core import ConfidenceMatrix, ValidationError
 from idfusion.scoring import compute_subject_scores
 from reference import rank_indices_reference, subject_scores_reference
 
@@ -140,6 +142,25 @@ class TestComputeSubjectScores:
     def test_rank_depth_exceeding_classes_rejected(self):
         with pytest.raises(ValidationError):
             compute_subject_scores([[0.9, 0.1]], [0], rank_depth=5)
+
+    def test_read_only_matrix_is_not_copied(self):
+        m, spc = 87, 100
+        cm = ConfidenceMatrix(
+            values=np.random.default_rng(0).random((m * spc, m)),
+            sample_ids=[f"s{i}" for i in range(m * spc)],
+            modality="face",
+        )
+        assert not cm.values.flags.writeable
+        labels = np.repeat(np.arange(m), spc)
+        tracemalloc.start()
+        try:
+            compute_subject_scores(cm, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the matrix is 6.06 MB, and np.argmax copies a read-only one whole (6.3 MB peak);
+        # the ranking's two 8700 x 87 bool masks and its length-N vectors are 2.1 MB
+        assert peak < 2.5e6
 
     @pytest.mark.filterwarnings("ignore:unbalanced")
     def test_matches_reference_on_random_instances(self):

@@ -148,6 +148,19 @@ class TestGenerateDataset:
                 _params(m=5), _params(m=6), DegradationScenario.clean(), 0
             )
 
+    def test_memory_holds_each_matrix_once(self):
+        params = _params(m=87, spc=100)
+        tracemalloc.start()
+        try:
+            ds = generate_dataset(params, params, DegradationScenario.default_degraded(), 0)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the dataset is two 8700 x 87 matrices of 6.06 MB each; stacking per-subject
+        # blocks into them would hold a modality twice, 6.8 MB above what the call returns
+        assert current > ds.face.values.nbytes + ds.ecg.values.nbytes
+        assert peak - current < 1e6
+
 
 class TestCalibrate:
     def test_high_accuracy_target(self):
