@@ -252,7 +252,6 @@ def _cmd_simulate(args) -> int:
         scenario = DegradationScenario(
             face_rule=SubjectRule(args.face_rule) if args.face_rule is not None else default.face_rule,
             ecg_rule=SubjectRule(args.ecg_rule) if args.ecg_rule is not None else default.ecg_rule,
-            name="degraded",
         )
         regime = calibrate_degraded_regime(
             clean_cal,
@@ -311,7 +310,7 @@ def _cmd_calibrate(args) -> int:
         "target": result.target,
         "sigma": result.sigma,
         "achieved": result.achieved,
-        "trials": result.trials,
+        "trials": args.trials,
         "num_classes": args.classes,
         "true_class_mean": args.mean,
     }

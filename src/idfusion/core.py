@@ -198,7 +198,7 @@ class ConfidenceMatrix:
         """Sub-matrix for the given sample positions, order preserved."""
         idx = np.asarray(indices, dtype=np.int64)
         return ConfidenceMatrix(
-            values=self.values[idx].copy(),
+            values=self.values[idx],  # fancy indexing already copies
             sample_ids=tuple(self.sample_ids[i] for i in idx),
             modality=self.modality,
         )

@@ -98,7 +98,7 @@ def normalize_amplitude(sig: EcgSignal) -> EcgSignal:
     s = sig.samples
     if s.min() == s.max():
         raise DegenerateSignalError("constant signal cannot be amplitude-normalized")
-    return replace(sig, samples=as_confidence_vector(s, normalize=True))
+    return replace(sig, samples=as_confidence_vector(s, name="signal", normalize=True))
 
 
 def zero_mean(sig: EcgSignal) -> EcgSignal:
@@ -117,6 +117,14 @@ def _plateau_peaks(s: np.ndarray) -> np.ndarray:
     return nz[:-1][rising & falling] + 1
 
 
+def _sample_count(seconds: float, rate: float, what: str) -> int:
+    """``round(seconds * rate)``; a product past the float range is invalid data."""
+    n = seconds * rate
+    if not np.isfinite(n):
+        raise ValidationError(f"{what} of {seconds} s at {rate} Hz overflows the sample count")
+    return int(round(n))
+
+
 def find_first_r_peak(sig: EcgSignal, cfg: PeakDetectorConfig = PeakDetectorConfig()) -> int:
     """Index of the first R peak.
 
@@ -124,7 +132,7 @@ def find_first_r_peak(sig: EcgSignal, cfg: PeakDetectorConfig = PeakDetectorConf
     reaches ``threshold_fraction`` of the signal's global maximum.
     """
     s = sig.samples
-    window = int(round(cfg.search_window_seconds * sig.sample_rate))
+    window = _sample_count(cfg.search_window_seconds, sig.sample_rate, "search window")
     threshold = cfg.threshold_fraction * s.max()
     for peak in _plateau_peaks(s):
         if peak >= window:
@@ -149,7 +157,7 @@ def gate_signal(
         raise ValidationError(f"peak index {peak_index} out of range [0, {len(sig)})")
     if not 0.0 < duration_seconds < np.inf:
         raise ValidationError("gate duration must be finite and positive")
-    n_out = int(round(duration_seconds * sig.sample_rate))
+    n_out = _sample_count(duration_seconds, sig.sample_rate, "gate duration")
     if n_out < 1:
         raise ValidationError("gate duration is shorter than one sample")
     if peak_index + n_out > len(sig):

@@ -47,7 +47,6 @@ class FoldAssignment:
 
     fold_of_sample: np.ndarray = field(repr=False)
     k: int
-    seed: int
 
     def __post_init__(self):
         f = np.asarray(self.fold_of_sample, dtype=np.int64)
@@ -90,7 +89,7 @@ def make_folds(labels, k: int, seed: int) -> FoldAssignment:
         folds = (start + np.arange(perm.size)) % k
         fold_of_sample[perm] = folds
         start = (start + perm.size) % k
-    return FoldAssignment(fold_of_sample=fold_of_sample, k=k, seed=seed)
+    return FoldAssignment(fold_of_sample=fold_of_sample, k=k)
 
 
 @dataclass(frozen=True)

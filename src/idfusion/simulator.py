@@ -114,7 +114,6 @@ class DegradationScenario:
 
     face_rule: SubjectRule = SubjectRule()
     ecg_rule: SubjectRule = SubjectRule()
-    name: str = "clean"
 
     @classmethod
     def clean(cls) -> "DegradationScenario":
@@ -126,7 +125,6 @@ class DegradationScenario:
         return cls(
             face_rule=SubjectRule(divisors=(2, 3)),
             ecg_rule=SubjectRule(divisors=(7,)),
-            name="degraded",
         )
 
 
@@ -195,14 +193,11 @@ def generate_dataset(
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Outcome of one noise-level search."""
+    """Outcome of one noise-level search: the fitted sigma and the accuracy it reached."""
 
-    params: GeneratorParams
     sigma: float
     achieved: float
     target: float
-    trials: int
-    slot: str
 
 
 def calibrate(
@@ -211,7 +206,6 @@ def calibrate(
     trials: int = 100_000,
     seed: int | np.random.SeedSequence = 0,
     *,
-    slot: str = "clean",
     sigma_range: tuple[float, float] = (1e-4, 1e4),
 ) -> CalibrationResult:
     """Bisect the noise sigma until simulated rank-1 accuracy is within tolerance of the target.
@@ -222,16 +216,14 @@ def calibrate(
     drawn in blocks of rows and only each trial's margin is kept, so memory
     is 8 bytes per trial plus one block (4096 x M floats). Consecutive
     blocks are exactly the one-shot draw, so the result does not depend on
-    the block size. ``slot`` selects whether the fitted sigma lands in the
-    clean or the degraded field of the returned params. Raises
-    :class:`CalibrationError` when the target is not bracketed by the
-    search range or the accuracy landscape is flat (e.g. a zero true-class
-    offset, where every sigma gives chance level).
+    the block size. Only the template's true-class mean and class count
+    are read; the caller places the fitted sigma in its own params.
+    Raises :class:`CalibrationError` when the target is not bracketed by
+    the search range or the accuracy landscape is flat (e.g. a zero
+    true-class offset, where every sigma gives chance level).
     """
     if not 0.0 < target_accuracy < 1.0:
         raise ValidationError("target accuracy must lie strictly between 0 and 1")
-    if slot not in ("clean", "degraded"):
-        raise ValidationError("slot must be 'clean' or 'degraded'")
     if trials < 1000:
         raise ValidationError("need at least 1000 trials for a usable estimate")
     lo, hi = sigma_range
@@ -271,15 +263,7 @@ def calibrate(
         sigma = float(np.exp(log_mid))
         a = acc(sigma)
         if abs(a - target_accuracy) <= CALIBRATION_TOLERANCE:
-            fitted = _with_sigma(params_template, sigma, slot)
-            return CalibrationResult(
-                params=fitted,
-                sigma=sigma,
-                achieved=a,
-                target=target_accuracy,
-                trials=trials,
-                slot=slot,
-            )
+            return CalibrationResult(sigma=sigma, achieved=a, target=target_accuracy)
         if a > target_accuracy:
             log_lo = log_mid
         else:
@@ -345,11 +329,11 @@ def calibrate_clean_regime(
     """Fit clean-noise levels so each modality hits its accuracy target."""
     template = GeneratorParams(num_classes=num_classes, samples_per_class=samples_per_class)
     face_ss, ecg_ss = _as_seedseq(seed).spawn(2)
-    face_cal = calibrate(face_target, template, trials=trials, seed=face_ss, slot="clean")
-    ecg_cal = calibrate(ecg_target, template, trials=trials, seed=ecg_ss, slot="clean")
+    face_cal = calibrate(face_target, template, trials=trials, seed=face_ss)
+    ecg_cal = calibrate(ecg_target, template, trials=trials, seed=ecg_ss)
     return RegimeCalibration(
-        face=face_cal.params,
-        ecg=ecg_cal.params,
+        face=_with_sigma(template, face_cal.sigma, "clean"),
+        ecg=_with_sigma(template, ecg_cal.sigma, "clean"),
         scenario=DegradationScenario.clean(),
         details={"face_clean": face_cal, "ecg_clean": ecg_cal},
     )
@@ -387,8 +371,8 @@ def calibrate_degraded_regime(
         subpop_target, mixable = degraded_subpopulation_target(
             overall, clean_achieved, frac, m
         )
-        cal = calibrate(subpop_target, params, trials=trials, seed=ss, slot="degraded")
-        fitted[tag] = cal.params
+        cal = calibrate(subpop_target, params, trials=trials, seed=ss)
+        fitted[tag] = _with_sigma(params, cal.sigma, "degraded")
         details[f"{tag}_degraded"] = cal
         details[f"{tag}_mixture_feasible"] = mixable
         details[f"{tag}_degraded_fraction"] = frac

@@ -104,6 +104,11 @@ class TestSimulate:
         assert run_cli("simulate", "--config", str(cfg)) == EXIT_USAGE
         assert message in capsys.readouterr().err
 
+    def test_rule_that_degrades_nobody_is_data_error(self, capsys):
+        code = run_cli("simulate", "--scenario", "degraded", "--face-rule", "none", "--trials", "20000")
+        assert code == EXIT_DATA
+        assert "face rule degrades no subjects" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_matches_library_byte_for_byte(self, exported_scores, tmp_path):
@@ -161,6 +166,26 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: invalid data: {face}:2: score row span overflows float64; it cannot be normalized\n"
+
+    def test_config_boolean_matches_flag(self, tmp_path):
+        data = Path(__file__).parent / "data"
+        args = ["evaluate", "--face", str(data / "face_unit.csv"), "--ecg", str(data / "ecg_unit.csv"),
+                "--folds", "5", "--format", "structured"]
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("no-normalize = yes\n")
+        by_flag, by_config = tmp_path / "flag.json", tmp_path / "config.json"
+        assert run_cli(*args, "--no-normalize", "--out", str(by_flag)) == EXIT_OK
+        assert run_cli(*args, "--config", str(cfg), "--out", str(by_config)) == EXIT_OK
+        assert by_config.read_bytes() == by_flag.read_bytes()
+
+    def test_config_boolean_rejects_other_words(self, tmp_path, capsys):
+        data = Path(__file__).parent / "data"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("no-normalize = maybe\n")
+        code = run_cli("evaluate", "--config", str(cfg), "--face", str(data / "face_unit.csv"),
+                       "--ecg", str(data / "ecg_unit.csv"), "--folds", "5")
+        assert code == EXIT_USAGE
+        assert "config key 'no-normalize': not a boolean" in capsys.readouterr().err
 
     def test_requires_both_files(self, capsys):
         assert run_cli("evaluate", "--face", "only.csv") == EXIT_USAGE
@@ -312,6 +337,27 @@ class TestPrepEcg:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid data:") and err.count("\n") == 1
         assert "must be finite and positive" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--rate", "1e308"], ["--search-window", "1e308"], ["--rate", "1e300", "--duration", "1e10"]],
+        ids=["rate", "search-window", "rate-times-duration"],
+    )
+    def test_sample_count_past_float_range_is_data_error(self, flags, tmp_path, capsys):
+        src = Path(__file__).parent / "data" / "ecg_recording.txt"
+        code = run_cli("prep-ecg", "--in", str(src), "--out", str(tmp_path / "o.txt"), *flags)
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid data:") and err.count("\n") == 1
+        assert "overflows the sample count" in err
+
+    def test_span_overflow_blames_the_signal(self, tmp_path, capsys):
+        src = tmp_path / "wide.txt"
+        src.write_text("-1e308\n0\n1e308\n0.5\n")
+        assert run_cli("prep-ecg", "--in", str(src), "--out", str(tmp_path / "o.txt")) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid data:") and err.count("\n") == 1
+        assert "signal" in err
 
 
 class TestCalibrateCommand:

@@ -4,6 +4,7 @@ Ranking is tested in test_scoring.py, where its one kernel lives.
 """
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -170,6 +171,19 @@ class TestConfidenceMatrix:
         sub = cm.take([2, 0])
         assert sub.sample_ids == ("c", "a")
         np.testing.assert_array_equal(sub.values[0], [1.0, 0.0])
+
+    def test_take_copies_the_rows_once(self):
+        rng = np.random.default_rng(0)
+        cm = ConfidenceMatrix(rng.random((8700, 87)), tuple(f"s{i}" for i in range(8700)), "ecg")
+        perm = rng.permutation(8700)
+        tracemalloc.start()
+        try:
+            sub = cm.take(perm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # copying the gathered rows again would hold the 6.06 MB result twice
+        assert peak < 1.5 * sub.values.nbytes
 
 
 class TestPairedDataset:

@@ -65,11 +65,12 @@ class TestGenerateSample:
     def test_calibrated_sigma_hits_target_on_fresh_draws(self):
         m = FULL_PRESET[0]
         target = 0.961
-        cal = calibrate(target, _params(m=m), trials=100_000, seed=11)
+        template = _params(m=m)
+        cal = calibrate(target, template, trials=100_000, seed=11)
         rng = np.random.default_rng(2024)  # independent of the calibration draw
         draws = 100_000
         noise = rng.normal(0.0, cal.sigma, (draws, m))
-        noise[:, 0] += cal.params.true_class_mean
+        noise[:, 0] += template.true_class_mean
         acc = float(np.mean(np.argmax(noise, axis=1) == 0))
         assert abs(acc - target) <= 0.01
 
@@ -195,12 +196,11 @@ class TestCalibrate:
             calibrate(0.9, _params(m=10), trials=20_000, seed=1)
 
     def test_degraded_slot_keeps_sigma_ordering(self):
-        clean_cal = calibrate(0.96, _params(m=30), trials=50_000, seed=2)
-        deg_cal = calibrate(
-            0.70, clean_cal.params, trials=50_000, seed=3, slot="degraded"
-        )
-        assert deg_cal.params.noise_sigma_degraded > deg_cal.params.noise_sigma_clean
-        assert deg_cal.params.noise_sigma_clean == clean_cal.params.noise_sigma_clean
+        clean = calibrate_clean_regime(30, 5, trials=50_000, seed=2)
+        reg = calibrate_degraded_regime(clean, trials=50_000, seed=3)
+        for fitted, clean_params in ((reg.face, clean.face), (reg.ecg, clean.ecg)):
+            assert fitted.noise_sigma_degraded > fitted.noise_sigma_clean
+            assert fitted.noise_sigma_clean == clean_params.noise_sigma_clean
 
     @pytest.mark.parametrize(
         "trials, block",
@@ -269,7 +269,7 @@ class TestRegimeCalibration:
         reg = calibrate_clean_regime(30, 10, trials=50_000, seed=0)
         assert abs(reg.details["face_clean"].achieved - 0.98839) <= 0.005
         assert abs(reg.details["ecg_clean"].achieved - 0.96138) <= 0.005
-        assert reg.scenario.name == "clean"
+        assert reg.scenario == DegradationScenario.clean()
 
     def test_degraded_regime_contract(self):
         clean = calibrate_clean_regime(87, 10, trials=50_000, seed=0)
