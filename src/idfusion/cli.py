@@ -133,8 +133,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--face-overall", type=float, default=DEFAULT_DEGRADED_TARGETS[0],
                    help="degraded-regime overall accuracy target")
     p.add_argument("--ecg-overall", type=float, default=DEFAULT_DEGRADED_TARGETS[1])
-    p.add_argument("--trials", type=int, default=cal["trials"],
-                   help="Monte-Carlo trials per calibration")
     _add_run_flags(p)
     p.add_argument("--dump-scores", help="directory for exported score CSVs")
     p.add_argument("--save-model", help="path for the fusion model trained on all samples")
@@ -169,8 +167,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--classes", type=int, default=FULL_PRESET[0])
     p.add_argument("--mean", type=float, default=GeneratorParams.true_class_mean,
                    help="true-class logit offset")
-    p.add_argument("--trials", type=int, default=cal["trials"])
-    p.add_argument("--seed", type=_seed, default=cal["seed"])
     p.add_argument("--sigma-min", type=float, default=cal["sigma_range"][0])
     p.add_argument("--sigma-max", type=float, default=cal["sigma_range"][1])
     p.add_argument("--out", help="write the result JSON here instead of stdout")
@@ -238,14 +234,11 @@ def _cmd_simulate(args) -> int:
     if args.scenario == "clean" and (args.face_rule is not None or args.ecg_rule is not None):
         raise _UsageError("--face-rule/--ecg-rule require --scenario degraded")
 
-    cal_seed, data_seed = np.random.SeedSequence(args.seed).spawn(2)
     clean_cal = calibrate_clean_regime(
         num_classes=subjects,
         samples_per_class=samples,
         face_target=args.face_target,
         ecg_target=args.ecg_target,
-        trials=args.trials,
-        seed=cal_seed,
     )
     if args.scenario == "degraded":
         default = DegradationScenario.default_degraded()
@@ -258,12 +251,12 @@ def _cmd_simulate(args) -> int:
             face_overall_target=args.face_overall,
             ecg_overall_target=args.ecg_overall,
             scenario=scenario,
-            trials=args.trials,
-            seed=cal_seed.spawn(1)[0],
         )
     else:
         regime = clean_cal
 
+    # the second child of the run seed, so a given --seed keeps its dataset
+    data_seed = np.random.SeedSequence(args.seed).spawn(2)[1]
     dataset = generate_dataset(regime.face, regime.ecg, regime.scenario, data_seed)
     return _run_and_report(dataset, args)
 
@@ -299,18 +292,11 @@ def _cmd_calibrate(args) -> int:
         samples_per_class=1,  # calibration never reads the sample count
         true_class_mean=args.mean,
     )
-    result = calibrate(
-        args.target,
-        template,
-        trials=args.trials,
-        seed=args.seed,
-        sigma_range=(args.sigma_min, args.sigma_max),
-    )
+    result = calibrate(args.target, template, sigma_range=(args.sigma_min, args.sigma_max))
     doc = {
         "target": result.target,
         "sigma": result.sigma,
         "achieved": result.achieved,
-        "trials": args.trials,
         "num_classes": args.classes,
         "true_class_mean": args.mean,
     }

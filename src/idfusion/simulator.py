@@ -6,12 +6,13 @@ has on its output: each sample's score vector is a true-class logit
 offset plus i.i.d. Gaussian noise, min-max normalized per sample. Larger
 noise means a less reliable classifier, and per-subject degradation rules
 raise the noise for selected subjects only. Noise levels are not chosen
-directly but calibrated by bisection until the simulated rank-1 accuracy
+directly but calibrated by bisection until the model's rank-1 accuracy
 hits a requested target.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,21 +45,17 @@ FULL_PRESET = (87, 100)
 DEFAULT_CLEAN_TARGETS = (0.98839, 0.96138)
 DEFAULT_DEGRADED_TARGETS = (0.66586, 0.76276)
 
-# calibration stops once the estimated accuracy is this close to the target
+# calibration stops once the accuracy is this close to the target
 CALIBRATION_TOLERANCE = 0.005
 MAX_BISECTION_STEPS = 200
-# rows of the calibration draw held in memory at once
-_DRAW_BLOCK_ROWS = 4096
+# trapezoidal rule for E[f(z)], z standard normal: step 0.1 over [-10, 10], pairs
+# (z, step * normal pdf(z)); the weight left out beyond +-10 is below 1e-23
+_QUADRATURE = tuple((i / 10, 0.1 * math.exp(-0.5 * (i / 10) ** 2) / math.sqrt(2 * math.pi))
+                    for i in range(-100, 101))
 
 
 class CalibrationError(RuntimeError):
     """The requested accuracy target cannot be reached in the search range."""
-
-
-def _as_seedseq(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
 
 
 @dataclass(frozen=True)
@@ -76,6 +73,8 @@ class GeneratorParams:
             raise ValidationError("need at least 2 classes")
         if self.samples_per_class < 1:
             raise ValidationError("need at least 1 sample per class")
+        if not math.isfinite(self.true_class_mean):
+            raise ValidationError(f"true-class mean must be finite, got {self.true_class_mean}")
         if self.noise_sigma_clean <= 0 or self.noise_sigma_degraded <= 0:
             raise ValidationError("noise sigmas must be positive")
         if self.noise_sigma_degraded <= self.noise_sigma_clean:
@@ -162,6 +161,8 @@ def generate_dataset(
         raise ValidationError("modality params must agree on dataset shape")
     m = face_params.num_classes
     spc = face_params.samples_per_class
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
 
     # one block, not one per modality: released, it leaves one contiguous free region
     # for a later large allocation, where two blocks can end up split by a small one
@@ -170,7 +171,7 @@ def generate_dataset(
         values,
         (face_params, ecg_params),
         (scenario.face_rule, scenario.ecg_rule),
-        _as_seedseq(seed).spawn(2),
+        seed.spawn(2),
     ):
         children = ss.spawn(m)
         for subject in range(m):
@@ -203,47 +204,42 @@ class CalibrationResult:
 def calibrate(
     target_accuracy: float,
     params_template: GeneratorParams,
-    trials: int = 100_000,
-    seed: int | np.random.SeedSequence = 0,
     *,
     sigma_range: tuple[float, float] = (1e-4, 1e4),
+    trials: int = 0,
 ) -> CalibrationResult:
-    """Bisect the noise sigma until simulated rank-1 accuracy is within tolerance of the target.
+    """Bisect the noise sigma until the rank-1 accuracy is within tolerance of the target.
 
-    The Monte-Carlo draw is fixed up front and shared across all sigma
-    evaluations, which makes the estimated accuracy exactly monotone in
-    sigma and the bisection well behaved. The ``trials x M`` normals are
-    drawn in blocks of rows and only each trial's margin is kept, so memory
-    is 8 bytes per trial plus one block (4096 x M floats). Consecutive
-    blocks are exactly the one-shot draw, so the result does not depend on
-    the block size. Only the template's true-class mean and class count
-    are read; the caller places the fitted sigma in its own params.
+    The accuracy at each sigma is the model's exact rank-1 accuracy,
+    E[Phi(z + mean/sigma)^(M-1)], by a 201-node trapezoidal rule: no random
+    draw and no seed, about 1 ms per fit at 87 classes. It is monotone in
+    sigma, so the bisection is well behaved, and ``achieved`` is exact.
+    Only the template's true-class mean and class count are read; the
+    caller places the fitted sigma in its own params. ``trials`` must stay
+    0: the benchmark's tracer reads it by name for
+    ``simulator.calibrate.normals_drawn``, and it goes away when ROADMAP
+    item 1 retires that metric.
     Raises :class:`CalibrationError` when the target is not bracketed by
     the search range or the accuracy landscape is flat (e.g. a zero
     true-class offset, where every sigma gives chance level).
     """
     if not 0.0 < target_accuracy < 1.0:
         raise ValidationError("target accuracy must lie strictly between 0 and 1")
-    if trials < 1000:
-        raise ValidationError("need at least 1000 trials for a usable estimate")
+    if trials != 0:
+        raise ValidationError("calibrate draws no Monte-Carlo trials")
     lo, hi = sigma_range
     if not (np.isfinite(lo) and np.isfinite(hi) and 0.0 < lo < hi):
         raise ValidationError(f"sigma_range must be finite with 0 < lo < hi, got {sigma_range}")
 
     mu = params_template.true_class_mean
     m = params_template.num_classes
-    rng = np.random.default_rng(seed)
-    # the sample is correct iff mu/sigma exceeds the margin by which the
-    # best competitor's noise beats the true class's noise
-    margin = np.empty(trials)
-    block = np.empty((min(_DRAW_BLOCK_ROWS, trials), m))
-    for start in range(0, trials, len(block)):
-        z = rng.standard_normal(out=block[: trials - start])
-        np.subtract(z[:, 1:].max(axis=1), z[:, 0], out=margin[start : start + len(z)])
-    margin.sort()
+    root2 = math.sqrt(2.0)
 
     def acc(sigma: float) -> float:
-        return float(np.searchsorted(margin, mu / sigma, side="left") / trials)
+        # in noise sigmas the true class scores mu/sigma + z, each other class a
+        # standard normal, so it wins with probability E[Phi(z + mu/sigma)^(M-1)]
+        offset = mu / sigma
+        return sum(w * (0.5 * math.erfc(-(z + offset) / root2)) ** (m - 1) for z, w in _QUADRATURE)
 
     acc_lo, acc_hi = acc(lo), acc(hi)
     if acc_lo - acc_hi < 0.02:
@@ -257,6 +253,8 @@ def calibrate(
             f"[{acc_hi:.4f}, {acc_lo:.4f}] over sigma range {sigma_range}"
         )
 
+    # numpy's log and exp, not math's: they differ in the last bit at some midpoints,
+    # and a sigma that moves by one bit moves every simulated score
     log_lo, log_hi = np.log(lo), np.log(hi)
     for _ in range(MAX_BISECTION_STEPS):
         log_mid = 0.5 * (log_lo + log_hi)
@@ -270,7 +268,7 @@ def calibrate(
             log_hi = log_mid
     raise CalibrationError(
         f"bisection did not come within {CALIBRATION_TOLERANCE} of the target in "
-        f"{MAX_BISECTION_STEPS} steps; increase trials"
+        f"{MAX_BISECTION_STEPS} steps"
     )
 
 
@@ -323,14 +321,11 @@ def calibrate_clean_regime(
     samples_per_class: int,
     face_target: float = DEFAULT_CLEAN_TARGETS[0],
     ecg_target: float = DEFAULT_CLEAN_TARGETS[1],
-    trials: int = 100_000,
-    seed: int | np.random.SeedSequence = 0,
 ) -> RegimeCalibration:
     """Fit clean-noise levels so each modality hits its accuracy target."""
     template = GeneratorParams(num_classes=num_classes, samples_per_class=samples_per_class)
-    face_ss, ecg_ss = _as_seedseq(seed).spawn(2)
-    face_cal = calibrate(face_target, template, trials=trials, seed=face_ss)
-    ecg_cal = calibrate(ecg_target, template, trials=trials, seed=ecg_ss)
+    face_cal = calibrate(face_target, template)
+    ecg_cal = calibrate(ecg_target, template)
     return RegimeCalibration(
         face=_with_sigma(template, face_cal.sigma, "clean"),
         ecg=_with_sigma(template, ecg_cal.sigma, "clean"),
@@ -344,8 +339,6 @@ def calibrate_degraded_regime(
     face_overall_target: float = DEFAULT_DEGRADED_TARGETS[0],
     ecg_overall_target: float = DEFAULT_DEGRADED_TARGETS[1],
     scenario: DegradationScenario | None = None,
-    trials: int = 100_000,
-    seed: int | np.random.SeedSequence = 1,
 ) -> RegimeCalibration:
     """Fit degraded-noise levels on top of an already-calibrated clean regime.
 
@@ -357,12 +350,11 @@ def calibrate_degraded_regime(
     """
     scenario = scenario if scenario is not None else DegradationScenario.default_degraded()
     m = clean.face.num_classes
-    face_ss, ecg_ss = _as_seedseq(seed).spawn(2)
     details: dict = {}
     fitted = {}
-    for tag, params, rule, ss, overall in (
-        ("face", clean.face, scenario.face_rule, face_ss, face_overall_target),
-        ("ecg", clean.ecg, scenario.ecg_rule, ecg_ss, ecg_overall_target),
+    for tag, params, rule, overall in (
+        ("face", clean.face, scenario.face_rule, face_overall_target),
+        ("ecg", clean.ecg, scenario.ecg_rule, ecg_overall_target),
     ):
         frac = rule.degraded_fraction(m)
         if frac == 0.0:
@@ -371,7 +363,7 @@ def calibrate_degraded_regime(
         subpop_target, mixable = degraded_subpopulation_target(
             overall, clean_achieved, frac, m
         )
-        cal = calibrate(subpop_target, params, trials=trials, seed=ss)
+        cal = calibrate(subpop_target, params)
         fitted[tag] = _with_sigma(params, cal.sigma, "degraded")
         details[f"{tag}_degraded"] = cal
         details[f"{tag}_mixture_feasible"] = mixable

@@ -2,8 +2,8 @@
 
 Everything here is deliberately plain and unoptimized so it can serve as
 an oracle for the library's vectorized paths: straight-line loops, list
-arithmetic, and a quadrature formula that does not share code with the
-Monte-Carlo calibration it cross-checks.
+arithmetic, and a Gauss-Hermite quadrature that shares no code with the
+calibration's trapezoidal rule it cross-checks.
 """
 
 from __future__ import annotations

@@ -134,8 +134,8 @@ def test_criterion_4_clean_regime_experiment():
     all_ok = True
     details = []
     for seed in MASTER_SEEDS:
-        cal_seed, data_seed = np.random.SeedSequence(seed).spawn(2)
-        regime = calibrate_clean_regime(87, 100, trials=100_000, seed=cal_seed)
+        data_seed = np.random.SeedSequence(seed).spawn(2)[1]
+        regime = calibrate_clean_regime(87, 100)
         for tag, target in (("face", face_t), ("ecg", ecg_t)):
             achieved = regime.details[f"{tag}_clean"].achieved
             all_ok = all_ok and abs(achieved - target) <= 0.005
@@ -160,11 +160,8 @@ def test_criterion_5_degraded_regime_experiment():
     calibration_ok = True
     details = []
     for seed in MASTER_SEEDS:
-        cal_seed, data_seed = np.random.SeedSequence(seed).spawn(2)
-        clean = calibrate_clean_regime(87, 100, trials=100_000, seed=cal_seed)
-        regime = calibrate_degraded_regime(
-            clean, trials=100_000, seed=cal_seed.spawn(1)[0]
-        )
+        data_seed = np.random.SeedSequence(seed).spawn(2)[1]
+        regime = calibrate_degraded_regime(calibrate_clean_regime(87, 100))
         # face target is reachable as a population mixture; ECG's clean
         # majority is too accurate for that, so its degraded subpopulation
         # carries the target directly
@@ -266,7 +263,7 @@ def test_criterion_9_cross_validation_integrity(tmp_path):
         assert ok
 
     # pooled accuracy identity and byte-identical reports on a simulated set
-    regime = calibrate_clean_regime(12, 12, trials=20_000, seed=3)
+    regime = calibrate_clean_regime(12, 12)
     ds = generate_dataset(regime.face, regime.ecg, regime.scenario, seed=3)
     k = 4
     report = run_experiment(ds, k=k, seed=3)
@@ -358,12 +355,11 @@ def test_criterion_10_cli_end_to_end(tmp_path):
     flat.write_text("\n".join(["1.0"] * 3000) + "\n")
     ok = ok and cli_main(["prep-ecg", "--in", str(flat), "--out", str(tmp_path / "o.txt")]) == 2
     ok = ok and cli_main(
-        ["calibrate", "--target", "0.5", "--classes", "2", "--mean", "0.0",
-         "--trials", "20000"]
+        ["calibrate", "--target", "0.5", "--classes", "2", "--mean", "0.0"]
     ) == 3
     ok = ok and cli_main(
-        ["simulate", "--subjects", "8", "--samples", "6", "--trials", "20000",
-         "--folds", "3", "--out", str(tmp_path / "no" / "dir" / "r.txt")]
+        ["simulate", "--subjects", "8", "--samples", "6", "--folds", "3",
+         "--out", str(tmp_path / "no" / "dir" / "r.txt")]
     ) == 3
     check(
         10,

@@ -27,8 +27,7 @@ def exported_scores(tmp_path_factory):
     d = tmp_path_factory.mktemp("scores")
     code = run_cli(
         "simulate",
-        "--subjects", "10", "--samples", "8", "--trials", "20000",
-        "--seed", "5", "--folds", "4",
+        "--subjects", "10", "--samples", "8", "--seed", "5", "--folds", "4",
         "--dump-scores", str(d),
         "--out", str(d / "report.json"), "--format", "structured",
     )
@@ -38,15 +37,14 @@ def exported_scores(tmp_path_factory):
 
 class TestSimulate:
     def test_desk_smoke(self, capsys):
-        assert run_cli("simulate", "--preset", "desk", "--seed", "7",
-                       "--trials", "20000") == EXIT_OK
+        assert run_cli("simulate", "--preset", "desk", "--seed", "7") == EXIT_OK
         out = capsys.readouterr().out
         assert "fold" in out and "avg" in out
 
     def test_structured_output(self, tmp_path):
         out = tmp_path / "r.json"
         code = run_cli(
-            "simulate", "--subjects", "8", "--samples", "6", "--trials", "20000",
+            "simulate", "--subjects", "8", "--samples", "6",
             "--folds", "3", "--seed", "1", "--out", str(out), "--format", "structured",
         )
         assert code == EXIT_OK
@@ -57,7 +55,7 @@ class TestSimulate:
     def test_degraded_scenario_runs(self, tmp_path):
         out = tmp_path / "r.json"
         code = run_cli(
-            "simulate", "--subjects", "21", "--samples", "8", "--trials", "20000",
+            "simulate", "--subjects", "21", "--samples", "8",
             "--scenario", "degraded", "--folds", "4", "--seed", "2",
             "--out", str(out), "--format", "structured",
         )
@@ -72,7 +70,7 @@ class TestSimulate:
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
-            "subjects = 8\nsamples = 6\ntrials = 20000\nfolds = 3\nseed = 9\n"
+            "subjects = 8\nsamples = 6\nfolds = 3\nseed = 9\n"
             "format = structured\n"
         )
         out1 = tmp_path / "a.json"
@@ -84,7 +82,7 @@ class TestSimulate:
         assert config_of(out2)["seed"] == 10
         # a later call without --config must not inherit the file's values
         out3 = tmp_path / "c.json"
-        assert run_cli("simulate", "--subjects", "8", "--samples", "6", "--trials", "20000",
+        assert run_cli("simulate", "--subjects", "8", "--samples", "6",
                        "--folds", "3", "--out", str(out3), "--format", "structured") == EXIT_OK
         assert config_of(out3)["seed"] == 0
 
@@ -105,7 +103,7 @@ class TestSimulate:
         assert message in capsys.readouterr().err
 
     def test_rule_that_degrades_nobody_is_data_error(self, capsys):
-        code = run_cli("simulate", "--scenario", "degraded", "--face-rule", "none", "--trials", "20000")
+        code = run_cli("simulate", "--scenario", "degraded", "--face-rule", "none")
         assert code == EXIT_DATA
         assert "face rule degrades no subjects" in capsys.readouterr().err
 
@@ -245,7 +243,7 @@ class TestFuse:
     def test_single_prediction_matches_library(self, exported_scores, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         code = run_cli(
-            "simulate", "--subjects", "10", "--samples", "8", "--trials", "20000",
+            "simulate", "--subjects", "10", "--samples", "8",
             "--seed", "5", "--folds", "4", "--save-model", str(model_path),
         )
         assert code == EXIT_OK
@@ -266,7 +264,7 @@ class TestFuse:
     def test_bad_vector_is_data_error(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         run_cli(
-            "simulate", "--subjects", "8", "--samples", "6", "--trials", "20000",
+            "simulate", "--subjects", "8", "--samples", "6",
             "--seed", "0", "--folds", "3", "--save-model", str(model_path),
         )
         capsys.readouterr()
@@ -364,8 +362,7 @@ class TestCalibrateCommand:
     def test_writes_result_json(self, tmp_path):
         out = tmp_path / "cal.json"
         code = run_cli(
-            "calibrate", "--target", "0.9", "--classes", "20",
-            "--trials", "20000", "--seed", "3", "--out", str(out),
+            "calibrate", "--target", "0.9", "--classes", "20", "--out", str(out),
         )
         assert code == EXIT_OK
         doc = json.loads(out.read_text())
@@ -374,11 +371,17 @@ class TestCalibrateCommand:
 
     def test_flat_landscape_is_runtime_error(self, capsys):
         code = run_cli(
-            "calibrate", "--target", "0.5", "--classes", "2",
-            "--mean", "0.0", "--trials", "20000",
+            "calibrate", "--target", "0.5", "--classes", "2", "--mean", "0.0",
         )
         assert code == EXIT_RUNTIME
         assert capsys.readouterr().err.startswith("error: runtime:")
+
+    @pytest.mark.parametrize("mean", ["nan", "inf", "-inf"])
+    def test_non_finite_mean_is_data_error(self, mean, capsys):
+        assert run_cli("calibrate", "--target", "0.9", f"--mean={mean}") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid data: true-class mean must be finite")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "bounds",
@@ -392,10 +395,9 @@ class TestCalibrateCommand:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["simulate", "--subjects", "8", "--samples", "6", "--trials", "20000", "--folds", "3"],
-        ["simulate", "--subjects", "8", "--samples", "6", "--trials", "20000", "--folds", "3",
-         "--format", "structured"],
-        ["calibrate", "--target", "0.9", "--classes", "20", "--trials", "20000"],
+        ["simulate", "--subjects", "8", "--samples", "6", "--folds", "3"],
+        ["simulate", "--subjects", "8", "--samples", "6", "--folds", "3", "--format", "structured"],
+        ["calibrate", "--target", "0.9", "--classes", "20"],
     ],
     ids=["simulate-text", "simulate-structured", "calibrate"],
 )
@@ -421,17 +423,35 @@ class TestUsageAndExitCodes:
 
     @pytest.mark.parametrize(
         "argv",
-        [["simulate"], ["evaluate", "--face", "f.csv", "--ecg", "e.csv"], ["calibrate", "--target", "0.9"]],
-        ids=["simulate", "evaluate", "calibrate"],
+        [["simulate"], ["evaluate", "--face", "f.csv", "--ecg", "e.csv"]],
+        ids=["simulate", "evaluate"],
     )
     def test_negative_seed_is_usage_error(self, argv, capsys):
         assert run_cli(*argv, "--seed", "-1") == EXIT_USAGE
         err = capsys.readouterr().err
         assert err == "error: usage: argument --seed: seed must be a non-negative integer, got '-1'\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--trials", "20000"], "unrecognized arguments: --trials 20000"),
+            (["calibrate", "--target", "0.9", "--trials", "20000"],
+             "unrecognized arguments: --trials 20000"),
+            (["calibrate", "--target", "0.9", "--seed", "0"], "unrecognized arguments: --seed 0"),
+            (["simulate", "--config", "{cfg}"], "unknown config key 'trials' for simulate"),
+        ],
+        ids=["simulate-trials", "calibrate-trials", "calibrate-seed", "config-trials"],
+    )
+    def test_calibration_draw_flags_are_gone(self, argv, message, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("trials = 20000\n")
+        assert run_cli(*(a.format(cfg=cfg) for a in argv)) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: usage: {message}\n"
+
     def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         code = run_cli(
-            "simulate", "--subjects", "8", "--samples", "6", "--trials", "20000",
+            "simulate", "--subjects", "8", "--samples", "6",
             "--folds", "3", "--out", str(tmp_path / "missing" / "dir" / "r.txt"),
         )
         assert code == EXIT_RUNTIME

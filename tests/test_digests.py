@@ -135,9 +135,8 @@ CLI_OUTPUTS = {
         "a483d285d7f338b6e0cb32a234e2b49da6fab970eeed515970b1634ffca20a1e",
     ),
     "calibrate": (
-        ["calibrate", "--target", "0.6", "--classes", "5", "--trials", "2000", "--seed", "0",
-         "--out", "{tmp}/calibration.json"],
-        "9771068bd4d21438e93fc49857bf6d4e1a59950926ca6aef8beacfccfba7e1ac",
+        ["calibrate", "--target", "0.6", "--classes", "5", "--out", "{tmp}/calibration.json"],
+        "74e23e46c5e9eb28d3dbe7147b17ab56e7859bca040ef34ce25d37a9008afba2",
     ),
 }
 

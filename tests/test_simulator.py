@@ -57,6 +57,11 @@ class TestGenerateSample:
             "66d6dec7fbb800493d45dd5b90cda284cbc93cd8c92e3b7b7842ab91aeadd471"
         )
 
+    @pytest.mark.parametrize("mean", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_rejected(self, mean):
+        with pytest.raises(ValidationError, match="true-class mean must be finite"):
+            _params(mean=mean)
+
     def test_output_is_normalized(self):
         params = _params()
         v = _one_row(0, False, params, np.random.default_rng(7))
@@ -66,8 +71,8 @@ class TestGenerateSample:
         m = FULL_PRESET[0]
         target = 0.961
         template = _params(m=m)
-        cal = calibrate(target, template, trials=100_000, seed=11)
-        rng = np.random.default_rng(2024)  # independent of the calibration draw
+        cal = calibrate(target, template)
+        rng = np.random.default_rng(2024)  # the Monte-Carlo check of the quadrature's fit
         draws = 100_000
         noise = rng.normal(0.0, cal.sigma, (draws, m))
         noise[:, 0] += template.true_class_mean
@@ -165,22 +170,24 @@ class TestGenerateDataset:
 
 class TestCalibrate:
     def test_high_accuracy_target(self):
-        cal = calibrate(0.988, _params(m=87), trials=100_000, seed=0)
+        cal = calibrate(0.988, _params(m=87))
         assert abs(cal.achieved - 0.988) <= 0.005
         assert 0.983 <= cal.achieved <= 0.993
 
     def test_monte_carlo_agrees_with_quadrature(self):
-        cal = calibrate(0.9, _params(m=20), trials=200_000, seed=5)
+        cal = calibrate(0.9, _params(m=20))
+        z = np.random.default_rng(5).standard_normal((200_000, 20))
+        estimate = float(np.mean(z[:, 1:].max(axis=1) - z[:, 0] < 1.0 / cal.sigma))
         analytic = rank1_accuracy_quadrature(1.0, cal.sigma, 20)
-        assert abs(analytic - cal.achieved) <= 0.005
+        assert abs(analytic - estimate) <= 0.005
 
     def test_flat_landscape_is_an_error(self):
         with pytest.raises(CalibrationError, match="flat"):
-            calibrate(0.5, _params(m=2, mean=0.0), trials=20_000, seed=1)
+            calibrate(0.5, _params(m=2, mean=0.0))
 
     def test_unbracketed_target_is_an_error(self):
         with pytest.raises(CalibrationError, match="bracket"):
-            calibrate(0.999, _params(m=10), trials=20_000, seed=1, sigma_range=(1.0, 2.0))
+            calibrate(0.999, _params(m=10), sigma_range=(1.0, 2.0))
 
     @pytest.mark.parametrize(
         "sigma_range",
@@ -188,54 +195,50 @@ class TestCalibrate:
     )
     def test_invalid_sigma_range_rejected(self, sigma_range):
         with pytest.raises(ValidationError, match="sigma_range"):
-            calibrate(0.9, _params(m=10), trials=20_000, seed=1, sigma_range=sigma_range)
+            calibrate(0.9, _params(m=10), sigma_range=sigma_range)
 
     def test_step_limit_is_an_error(self, monkeypatch):
         monkeypatch.setattr(simulator, "MAX_BISECTION_STEPS", 0)
-        with pytest.raises(CalibrationError, match="in 0 steps; increase trials"):
-            calibrate(0.9, _params(m=10), trials=20_000, seed=1)
+        with pytest.raises(CalibrationError, match="in 0 steps$"):
+            calibrate(0.9, _params(m=10))
 
     def test_degraded_slot_keeps_sigma_ordering(self):
-        clean = calibrate_clean_regime(30, 5, trials=50_000, seed=2)
-        reg = calibrate_degraded_regime(clean, trials=50_000, seed=3)
+        clean = calibrate_clean_regime(30, 5)
+        reg = calibrate_degraded_regime(clean)
         for fitted, clean_params in ((reg.face, clean.face), (reg.ecg, clean.ecg)):
             assert fitted.noise_sigma_degraded > fitted.noise_sigma_clean
             assert fitted.noise_sigma_clean == clean_params.noise_sigma_clean
 
-    @pytest.mark.parametrize(
-        "trials, block",
-        [(1000, None), (4095, None), (8192, None), (12_345, None), (12_345, 1000)],
-    )
-    def test_block_draw_matches_one_shot_draw(self, monkeypatch, trials, block):
-        if block is not None:
-            monkeypatch.setattr(simulator, "_DRAW_BLOCK_ROWS", block)
-        m, seed, target = 20, 3, 0.8
-        cal = calibrate(target, _params(m=m), trials=trials, seed=seed)
-        # the bisection of calibrate's docstring on one (trials, m) draw
-        z = np.random.default_rng(seed).standard_normal((trials, m))
-        margin = np.sort(z[:, 1:].max(axis=1) - z[:, 0])
-        log_lo, log_hi = np.log(1e-4), np.log(1e4)
-        for _ in range(simulator.MAX_BISECTION_STEPS):
-            log_mid = 0.5 * (log_lo + log_hi)
-            sigma = float(np.exp(log_mid))
-            achieved = float(np.searchsorted(margin, 1.0 / sigma) / trials)
-            if abs(achieved - target) <= simulator.CALIBRATION_TOLERANCE:
-                break
-            log_lo, log_hi = (log_mid, log_hi) if achieved > target else (log_lo, log_mid)
-        assert (cal.sigma, cal.achieved) == (sigma, achieved)
+    @pytest.mark.parametrize("m", [2, 20, 87, 250])
+    def test_achieved_is_the_exact_rank1_accuracy(self, m):
+        for target in (0.6, 0.9, 0.961, 0.988):
+            cal = calibrate(target, _params(m=m))
+            assert abs(cal.achieved - target) <= simulator.CALIBRATION_TOLERANCE
+            assert abs(cal.achieved - rank1_accuracy_quadrature(1.0, cal.sigma, m)) <= 1e-12
 
-    @pytest.mark.parametrize("trials", [20_000, 100_000])
-    def test_memory_does_not_grow_with_classes_times_trials(self, trials):
-        params = _params(m=87)
+    def test_draws_no_random_numbers(self, monkeypatch):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("calibrate drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        calibrate_degraded_regime(calibrate_clean_regime(87, 100))
+
+    def test_trials_must_stay_zero(self):
+        with pytest.raises(ValidationError, match="no Monte-Carlo trials"):
+            calibrate(0.9, _params(m=10), trials=1000)
+
+    @pytest.mark.parametrize("classes", [20_000, 100_000])
+    def test_memory_does_not_grow_with_classes_times_trials(self, classes):
+        params = _params(m=classes)
         tracemalloc.start()  # numpy reports its buffers to tracemalloc
         try:
-            calibrate(0.9, params, trials=trials, seed=0)
+            calibrate(0.9, params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one 4096 x 87 block of normals is 2.85 MB, 100,000 margins 0.8 MB;
-        # the whole (trials, 87) draw would be 13.9 MB and 69.6 MB
-        assert peak < 5e6
+        # the quadrature holds no array at any class count, where a Monte-Carlo
+        # draw grows with classes x trials (one 4096-row block: 655 MB at 20,000)
+        assert peak < 1e5
 
     def test_accuracy_declines_with_sigma(self):
         rng = np.random.default_rng(8)
@@ -266,14 +269,13 @@ class TestRegimeCalibration:
             degraded_subpopulation_target(0.99, 0.90, 0.5, 10)
 
     def test_clean_regime_contract(self):
-        reg = calibrate_clean_regime(30, 10, trials=50_000, seed=0)
+        reg = calibrate_clean_regime(30, 10)
         assert abs(reg.details["face_clean"].achieved - 0.98839) <= 0.005
         assert abs(reg.details["ecg_clean"].achieved - 0.96138) <= 0.005
         assert reg.scenario == DegradationScenario.clean()
 
     def test_degraded_regime_contract(self):
-        clean = calibrate_clean_regime(87, 10, trials=50_000, seed=0)
-        reg = calibrate_degraded_regime(clean, trials=50_000, seed=1)
+        reg = calibrate_degraded_regime(calibrate_clean_regime(87, 10))
         assert reg.details["face_mixture_feasible"]
         assert not reg.details["ecg_mixture_feasible"]
         face_cal = reg.details["face_degraded"]
