@@ -5,21 +5,25 @@ followed by one confidence column per enrolled subject. The header's
 confidence columns are named ``<modality>_<index>``, which carries both
 the modality tag and the class count. Floats are written with ``repr`` so
 a write/read round trip is bit-exact. A score file is written one row at
-a time, so a dump holds one row's text in memory, not the whole file. It
-is parsed in blocks of about 1 MiB of text, so a load holds one block's
-text, not the whole file: each line is split once into id, label and
-confidence text, and ``np.loadtxt`` converts the block's confidences in
-one call. A block the bulk parse cannot take (a wrong field count, a
-repeated id, a number only ``float()`` reads, such as ``1_0``) is parsed
-again line by line, which names the first bad line. Checks that span
-rows (the label base, non-finite, constant and too-wide rows, the [0, 1]
-range) run after the last block.
+a time, so a dump holds one row's text in memory, not the whole file. The
+two files of a dump are written at once, the ECG file in a forked child,
+with the same bytes as when they were written one after the other. A
+score file is parsed in blocks of about 1 MiB of text, so a load holds
+one block's text, not the whole file: each line is split once into id,
+label and confidence text, and ``np.loadtxt`` converts the block's
+confidences in one call. A block the bulk parse cannot take (a wrong
+field count, a repeated id, a number only ``float()`` reads, such as
+``1_0``) is parsed again line by line, which names the first bad line.
+Checks that span rows (the label base, non-finite, constant and too-wide
+rows, the [0, 1] range) run after the last block.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
+import pickle
 from dataclasses import asdict
 from pathlib import Path
 
@@ -235,9 +239,52 @@ def dump_dataset_scores(dataset: PairedDataset, directory) -> tuple[Path, Path]:
     d.mkdir(parents=True, exist_ok=True)
     face_path = d / "face_scores.csv"
     ecg_path = d / "ecg_scores.csv"
-    write_score_matrix(dataset.face, dataset.labels, face_path)
-    write_score_matrix(dataset.ecg, dataset.labels, ecg_path)
+    _write_pair(dataset, face_path, ecg_path)
     return face_path, ecg_path
+
+
+def _write_pair(dataset: PairedDataset, face_path: Path, ecg_path: Path) -> None:
+    """Write the face file here while a forked child writes the ECG file.
+
+    The writer holds the GIL, so a thread would not overlap the two. The
+    child shares the matrices copy-on-write, sends back any exception it
+    raised through a pipe and leaves by ``os._exit``: it runs no ``atexit``
+    handler and flushes no inherited stdio buffer. A face error wins over
+    an ECG error. Without ``os.fork`` the files are written in turn.
+    """
+    if not hasattr(os, "fork"):
+        write_score_matrix(dataset.face, dataset.labels, face_path)
+        write_score_matrix(dataset.ecg, dataset.labels, ecg_path)
+        return
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            write_score_matrix(dataset.ecg, dataset.labels, ecg_path)
+            status = 0
+        except BaseException as exc:
+            try:
+                message = pickle.dumps(exc)
+                pickle.loads(message)  # an exception that cannot be rebuilt there goes as its text
+            except BaseException:
+                message = pickle.dumps(RuntimeError(str(exc)))
+            with open(w, "wb") as f:
+                f.write(message)
+        finally:
+            os._exit(status)
+    os.close(w)
+    try:
+        write_score_matrix(dataset.face, dataset.labels, face_path)
+    finally:
+        with open(r, "rb") as f:
+            message = f.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if message:
+        raise pickle.loads(message)
+    if code:
+        raise OSError(f"{ecg_path}: writer process ended with status {code}")
 
 
 # -- experiment reports -------------------------------------------------

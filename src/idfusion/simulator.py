@@ -75,6 +75,9 @@ class GeneratorParams:
             raise ValidationError("need at least 1 sample per class")
         if not math.isfinite(self.true_class_mean):
             raise ValidationError(f"true-class mean must be finite, got {self.true_class_mean}")
+        for name in ("noise_sigma_clean", "noise_sigma_degraded"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.noise_sigma_clean <= 0 or self.noise_sigma_degraded <= 0:
             raise ValidationError("noise sigmas must be positive")
         if self.noise_sigma_degraded <= self.noise_sigma_clean:

@@ -1,6 +1,9 @@
 """Score CSVs, report serialization, config files, and model persistence."""
 
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -13,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idfusion import core
+from idfusion import io as idfusion_io
+from idfusion.cli import main as cli_main
 from idfusion.core import ConfidenceMatrix, ValidationError, as_confidence_vector
 from idfusion.ecg import read_signal
 from idfusion.evaluation import EvalConfig, run_experiment, train_fusion_model
@@ -293,6 +298,100 @@ class TestScoreFiles:
         # without normalization the row is simply outside [0, 1]
         with pytest.raises(ValidationError, match=r"wide.csv:3: confidence outside \[0, 1\]"):
             load_score_matrix(path, normalize=False)
+
+
+class TestForkedDump:
+    """``dump_dataset_scores`` writes the ECG file in a forked child."""
+
+    def test_ecg_error_is_the_direct_writers_and_face_file_is_whole(self, tmp_path):
+        ds = _desk_dataset()
+        (tmp_path / "scores" / "ecg_scores.csv").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError) as direct:
+            write_score_matrix(ds.ecg, ds.labels, tmp_path / "scores" / "ecg_scores.csv")
+        with pytest.raises(IsADirectoryError) as dumped:
+            dump_dataset_scores(ds, tmp_path / "scores")
+        assert str(dumped.value) == str(direct.value)
+        write_score_matrix(ds.face, ds.labels, tmp_path / "face.csv")
+        assert (tmp_path / "scores" / "face_scores.csv").read_bytes() == (tmp_path / "face.csv").read_bytes()
+
+    def test_face_error_wins_over_ecg_error(self, tmp_path):
+        for name in ("face_scores.csv", "ecg_scores.csv"):
+            (tmp_path / name).mkdir()
+        with pytest.raises(IsADirectoryError, match="face_scores.csv"):
+            dump_dataset_scores(_desk_dataset(), tmp_path)
+
+    def test_without_fork_the_bytes_are_the_same(self, tmp_path, monkeypatch):
+        ds = _desk_dataset()
+        forked = dump_dataset_scores(ds, tmp_path / "forked")
+        monkeypatch.delattr(os, "fork")
+        in_turn = dump_dataset_scores(ds, tmp_path / "in_turn")
+        for a, b in zip(forked, in_turn):
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_child_that_dies_without_a_message_names_the_ecg_file(self, tmp_path, monkeypatch):
+        real = write_score_matrix
+
+        def die_on_ecg(matrix, labels, path):
+            if Path(path).name == "ecg_scores.csv":
+                os._exit(7)
+            real(matrix, labels, path)
+
+        monkeypatch.setattr(idfusion_io, "write_score_matrix", die_on_ecg)
+        with pytest.raises(OSError, match=r"ecg_scores.csv: writer process ended with status 7$"):
+            dump_dataset_scores(_desk_dataset(), tmp_path)
+
+    def test_child_error_that_cannot_be_rebuilt_arrives_as_its_text(self, tmp_path, monkeypatch):
+        real = write_score_matrix
+
+        def fail_on_ecg(matrix, labels, path):
+            if Path(path).name == "ecg_scores.csv":
+                raise _TwoArgError("disk", "full")
+            real(matrix, labels, path)
+
+        monkeypatch.setattr(idfusion_io, "write_score_matrix", fail_on_ecg)
+        with pytest.raises(RuntimeError, match="^disk is full$"):
+            dump_dataset_scores(_desk_dataset(), tmp_path)
+
+    def test_cli_ecg_error_is_one_line_and_exit_3(self, tmp_path, capsys):
+        (tmp_path / "ecg_scores.csv").mkdir()
+        code = cli_main(["simulate", "--preset", "desk", "--seed", "0", "--dump-scores", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("error:") == 1 and err.count("\n") == 1
+        assert err.startswith("error: runtime: [Errno 21] Is a directory: ") and "ecg_scores.csv" in err
+
+    def test_child_leaves_the_parents_streams_alone(self, tmp_path):
+        # an unflushed stdout buffer and an atexit handler belong to the parent only
+        script = (
+            "import atexit, sys\n"
+            "from idfusion.io import dump_dataset_scores\n"
+            "from idfusion.simulator import DegradationScenario, GeneratorParams, generate_dataset\n"
+            "params = GeneratorParams(num_classes=8, samples_per_class=6, noise_sigma_clean=0.3)\n"
+            "ds = generate_dataset(params, params, DegradationScenario.clean(), 0)\n"
+            "sys.stdout.write('written before the dump\\n')\n"
+            "atexit.register(print, 'atexit handler ran')\n"
+            "dump_dataset_scores(ds, sys.argv[1])\n"
+        )
+        src = str(Path(idfusion_io.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            stdout=subprocess.PIPE,
+            text=True,
+            timeout=60,
+            # a pipe makes stdout block-buffered, unless the environment turns buffering off
+            env={**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.count("written before the dump\n") == 1
+        assert proc.stdout.count("atexit handler ran\n") == 1
+
+
+class _TwoArgError(Exception):
+    """An exception that pickles but cannot be rebuilt from its pickle."""
+
+    def __init__(self, what, state):
+        super().__init__(f"{what} is {state}")
 
 
 def _rows(n, m=2):

@@ -62,6 +62,13 @@ class TestGenerateSample:
         with pytest.raises(ValidationError, match="true-class mean must be finite"):
             _params(mean=mean)
 
+    @pytest.mark.parametrize("field", ["noise_sigma_clean", "noise_sigma_degraded"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, field, value):
+        # NaN fails every comparison and inf passes ``> 0``: only a finiteness check names the field
+        with pytest.raises(ValidationError, match=rf"^{field} must be finite, got {value}$"):
+            GeneratorParams(num_classes=5, samples_per_class=2, **{field: value})
+
     def test_output_is_normalized(self):
         params = _params()
         v = _one_row(0, False, params, np.random.default_rng(7))
