@@ -191,9 +191,6 @@ class ConfidenceMatrix:
     def num_classes(self) -> int:
         return self.values.shape[1]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.values[i]
-
     def take(self, indices) -> "ConfidenceMatrix":
         """Sub-matrix for the given sample positions, order preserved."""
         idx = np.asarray(indices, dtype=np.int64)

@@ -126,6 +126,11 @@ def _check_aligned(face_values: np.ndarray, ecg_values: np.ndarray) -> None:
         )
 
 
+def _reweighted_argmax(face_values, ecg_values, face_weight, ecg_weight) -> np.ndarray:
+    """Both combiners' decisions: the row-wise argmax of the weighted sum, ties to the lower index."""
+    return np.argmax(face_values * face_weight + ecg_values * ecg_weight, axis=1)
+
+
 def predict_fused(c_face, c_ecg, model: FusionModel) -> int:
     """Fused class decision for one sample; ties go to the lower index."""
     a = as_confidence_vector(c_face)
@@ -141,9 +146,7 @@ def predict_fused_batch(face_values: np.ndarray, ecg_values: np.ndarray, model: 
         raise ValidationError(
             f"model has {d.size} classes but matrices have {face_values.shape[1]}"
         )
-    minus, plus = model._weights
-    total = face_values * minus + ecg_values * plus
-    return np.argmax(total, axis=1)
+    return _reweighted_argmax(face_values, ecg_values, *model._weights)
 
 
 @dataclass(frozen=True)
@@ -175,4 +178,4 @@ def predict_weighted_sum_batch(
 ) -> np.ndarray:
     """Row-wise weighted-sum decisions over aligned N x M confidence matrices."""
     _check_aligned(face_values, ecg_values)
-    return np.argmax(weights.w_face * face_values + weights.w_ecg * ecg_values, axis=1)
+    return _reweighted_argmax(face_values, ecg_values, weights.w_face, weights.w_ecg)

@@ -6,12 +6,13 @@ confidence columns are named ``<modality>_<index>``, which carries both
 the modality tag and the class count. Floats are written with ``repr`` so
 a write/read round trip is bit-exact. A score file is written one row at
 a time, so a dump holds one row's text in memory, not the whole file. The
-two files of a dump are written at once, the ECG file in a forked child,
-with the same bytes as when they were written one after the other. A
-score file is parsed in blocks of about 1 MiB of text, so a load holds
-one block's text, not the whole file: each line is split once into id,
-label and confidence text, and ``np.loadtxt`` converts the block's
-confidences in one call. A block the bulk parse cannot take (a wrong
+two files of a dump are written at once, and the two files of a paired
+load are parsed at once: the ECG file in a forked child, the face file in
+this process, with the same bytes, arrays and errors as one after the
+other. A score file is parsed in blocks of about 1 MiB of text, so a
+load holds one block's text, not the whole file: each line is split once
+into id, label and confidence text, and ``np.loadtxt`` converts the
+block's confidences in one call. A block the bulk parse cannot take (a wrong
 field count, a repeated id, a number only ``float()`` reads, such as
 ``1_0``) is parsed again line by line, which names the first bad line.
 Checks that span rows (the label base, non-finite, constant and too-wide
@@ -41,7 +42,6 @@ __all__ = [
     "render_report_text",
     "report_to_dict",
     "format_report",
-    "write_report",
     "json_text",
     "save_fusion_model",
     "load_fusion_model",
@@ -209,8 +209,11 @@ def load_paired_dataset(face_path, ecg_path, normalize: bool = True) -> PairedDa
     file tagged ``ecg``, or an ECG file tagged ``face``, is rejected: the
     fused rule would silently swap sides. Any other tag is accepted.
     """
-    face, y_face = load_score_matrix(face_path, normalize=normalize)
-    ecg, y_ecg = load_score_matrix(ecg_path, normalize=normalize)
+    (face, y_face), (ecg, y_ecg) = _fork_pair(
+        lambda: load_score_matrix(face_path, normalize=normalize),
+        lambda: load_score_matrix(ecg_path, normalize=normalize),
+        f"{ecg_path}: reader",
+    )
     for path, matrix, role, other in ((face_path, face, "face", "ecg"), (ecg_path, ecg, "ecg", "face")):
         if matrix.modality == other:
             raise ValidationError(
@@ -239,52 +242,70 @@ def dump_dataset_scores(dataset: PairedDataset, directory) -> tuple[Path, Path]:
     d.mkdir(parents=True, exist_ok=True)
     face_path = d / "face_scores.csv"
     ecg_path = d / "ecg_scores.csv"
-    _write_pair(dataset, face_path, ecg_path)
+    _fork_pair(
+        lambda: write_score_matrix(dataset.face, dataset.labels, face_path),
+        lambda: write_score_matrix(dataset.ecg, dataset.labels, ecg_path),
+        f"{ecg_path}: writer",
+    )
     return face_path, ecg_path
 
 
-def _write_pair(dataset: PairedDataset, face_path: Path, ecg_path: Path) -> None:
-    """Write the face file here while a forked child writes the ECG file.
+def _fork_pair(here, there, child: str):
+    """Return ``(here(), there())``, running ``there`` in a forked child.
 
-    The writer holds the GIL, so a thread would not overlap the two. The
-    child shares the matrices copy-on-write, sends back any exception it
-    raised through a pipe and leaves by ``os._exit``: it runs no ``atexit``
-    handler and flushes no inherited stdio buffer. A face error wins over
-    an ECG error. Without ``os.fork`` the files are written in turn.
+    The parser and the writer hold the GIL, so a thread would not overlap
+    them. The child sends back its result, or its exception (as
+    ``RuntimeError(str(exc))`` if it cannot be rebuilt), pickled through a
+    pipe, with array data out of band so this process holds it once. It
+    leaves by ``os._exit``: it runs no ``atexit`` handler and flushes no
+    inherited stdio buffer. An error of ``here`` wins; a child that ends
+    without a message raises ``OSError`` naming ``child``. Without
+    ``os.fork`` the two run in turn.
     """
     if not hasattr(os, "fork"):
-        write_score_matrix(dataset.face, dataset.labels, face_path)
-        write_score_matrix(dataset.ecg, dataset.labels, ecg_path)
-        return
+        return here(), there()
     r, w = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
             os.close(r)
-            write_score_matrix(dataset.ecg, dataset.labels, ecg_path)
-            status = 0
-        except BaseException as exc:
+            buffers: list[pickle.PickleBuffer] = []
             try:
-                message = pickle.dumps(exc)
-                pickle.loads(message)  # an exception that cannot be rebuilt there goes as its text
-            except BaseException:
-                message = pickle.dumps(RuntimeError(str(exc)))
+                message = pickle.dumps((True, there()), protocol=5, buffer_callback=buffers.append)
+            except BaseException as exc:
+                buffers.clear()
+                try:
+                    message = pickle.dumps((False, exc))
+                    pickle.loads(message)  # an exception that cannot be rebuilt there goes as its text
+                except BaseException:
+                    message = pickle.dumps((False, RuntimeError(str(exc))))
             with open(w, "wb") as f:
-                f.write(message)
+                pickle.dump(([b.raw().nbytes for b in buffers], message), f)
+                for b in buffers:
+                    f.write(b.raw())
+            status = 0
         finally:
             os._exit(status)
     os.close(w)
     try:
-        write_score_matrix(dataset.face, dataset.labels, face_path)
+        mine = here()
     finally:
+        outcome = None
         with open(r, "rb") as f:
-            message = f.read()
+            try:
+                sizes, message = pickle.load(f)
+                buffers = [bytearray(n) for n in sizes]
+                if all(f.readinto(b) == len(b) for b in buffers):
+                    outcome = pickle.loads(message, buffers=buffers)
+            except (EOFError, pickle.UnpicklingError):  # the child ended before it wrote it all
+                pass
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if message:
-        raise pickle.loads(message)
-    if code:
-        raise OSError(f"{ecg_path}: writer process ended with status {code}")
+    if outcome is None:
+        raise OSError(f"{child} process ended with status {code}")
+    if not outcome[0]:
+        raise outcome[1]
+    return mine, outcome[1]
 
 
 # -- experiment reports -------------------------------------------------
@@ -342,11 +363,6 @@ def format_report(report: ExperimentReport, fmt: str = "text") -> str:
     raise ValidationError(f"unknown report format {fmt!r}")
 
 
-def write_report(report: ExperimentReport, path, fmt: str = "text") -> None:
-    """Write :func:`format_report`'s output to ``path``."""
-    Path(path).write_text(format_report(report, fmt))
-
-
 def json_text(doc) -> str:
     """The JSON form of every structured output: two-space indent, sorted keys, final newline."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -384,8 +400,8 @@ def load_fusion_model(path) -> FusionModel:
     except OSError as exc:
         raise ValidationError(f"cannot read model {path}: {exc}") from exc
     # ValueError: bad UTF-8 or JSON, or a model the fusion types reject (ValidationError);
-    # OverflowError: an integer too large for a float
-    except (ValueError, OverflowError, KeyError, TypeError) as exc:
+    # OverflowError: an integer too large for a float; RecursionError: JSON nested too deep
+    except (ValueError, OverflowError, RecursionError, KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: not a fusion model file: {exc}") from exc
 
 

@@ -34,7 +34,7 @@ from idfusion.fusion import (
     predict_fused_batch,
     predict_weighted_sum_batch,
 )
-from idfusion.io import load_paired_dataset, write_report
+from idfusion.io import format_report, load_paired_dataset
 from idfusion.scoring import compute_subject_scores
 from idfusion.simulator import (
     DEFAULT_CLEAN_TARGETS,
@@ -294,8 +294,8 @@ def test_criterion_9_cross_validation_integrity(tmp_path):
 
     again = run_experiment(ds, k=k, seed=3)
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    write_report(report, p1, fmt="structured")
-    write_report(again, p2, fmt="structured")
+    p1.write_text(format_report(report, "structured"))
+    p2.write_text(format_report(again, "structured"))
     ok = ok and p1.read_bytes() == p2.read_bytes()
     check(9, ok, "exact cover, stratified within 1, pooled identity, byte-identical reports")
 
@@ -340,9 +340,7 @@ def test_criterion_10_cli_end_to_end(tmp_path):
         scores_dir / "face_scores.csv", scores_dir / "ecg_scores.csv"
     )
     lib_report = tmp_path / "lib.json"
-    write_report(
-        run_experiment(dataset, k=10, seed=7, cfg=EvalConfig()), lib_report, fmt="structured"
-    )
+    lib_report.write_text(format_report(run_experiment(dataset, k=10, seed=7, cfg=EvalConfig()), "structured"))
     ok = ok and cli_report.read_bytes() == lib_report.read_bytes()
 
     # designated exit codes: 1 usage, 2 data validation, 3 runtime

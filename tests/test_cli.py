@@ -9,7 +9,7 @@ import pytest
 from idfusion.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from idfusion.evaluation import EvalConfig, run_experiment
 from idfusion.fusion import predict_fused
-from idfusion.io import load_fusion_model, load_paired_dataset
+from idfusion.io import format_report, load_fusion_model, load_paired_dataset
 from reference import make_pulse_train
 
 
@@ -118,12 +118,10 @@ class TestEvaluate:
             "--folds", "4", "--seed", "5", "--out", str(cli_out), "--format", "structured",
         )
         assert code == EXIT_OK
-        from idfusion.io import write_report
-
         dataset = load_paired_dataset(face, ecg)
         report = run_experiment(dataset, k=4, seed=5, cfg=EvalConfig())
         lib_out = tmp_path / "lib.json"
-        write_report(report, lib_out, fmt="structured")
+        lib_out.write_text(format_report(report, "structured"))
         assert cli_out.read_bytes() == lib_out.read_bytes()
 
     def test_run_twice_identical(self, exported_scores, tmp_path):
@@ -294,6 +292,18 @@ class TestFuse:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"error: invalid data: {model_path}: not a fusion model file: ")
+
+    @pytest.mark.parametrize("opening", [b"[", b'{"a":'], ids=["array", "object"])
+    def test_deeply_nested_model_is_data_error(self, tmp_path, capsys, opening):
+        # json.loads raises RecursionError, not ValueError, when nesting passes the recursion limit
+        model_path = tmp_path / "model.json"
+        model_path.write_bytes(opening * 200_000)
+        assert run_cli(
+            "fuse", "--model", str(model_path), "--face", "0.1,0.9", "--ecg", "0.5,0.4"
+        ) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: invalid data: {model_path}: not a fusion model file: maximum recursion depth")
 
     def test_model_with_ecg_on_the_face_side_is_data_error(self, tmp_path, capsys):
         doc = json.loads((Path(__file__).parent / "data" / "model.json").read_text())

@@ -149,7 +149,7 @@ class TestConfidenceMatrix:
             modality="face",
         )
         assert cm.num_samples == 2 and cm.num_classes == 2
-        np.testing.assert_array_equal(cm.row(1), [1.0, 0.0])
+        np.testing.assert_array_equal(cm.values[1], [1.0, 0.0])
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError):

@@ -24,13 +24,13 @@ from idfusion.evaluation import EvalConfig, run_experiment, train_fusion_model
 from idfusion.fusion import FusionModel, normalize_difference, predict_fused
 from idfusion.io import (
     dump_dataset_scores,
+    format_report,
     load_fusion_model,
     load_paired_dataset,
     load_score_matrix,
     parse_config_file,
     render_report_text,
     save_fusion_model,
-    write_report,
     write_score_matrix,
 )
 from idfusion.simulator import DegradationScenario, GeneratorParams, generate_dataset
@@ -361,30 +361,102 @@ class TestForkedDump:
         assert err.startswith("error: runtime: [Errno 21] Is a directory: ") and "ecg_scores.csv" in err
 
     def test_child_leaves_the_parents_streams_alone(self, tmp_path):
-        # an unflushed stdout buffer and an atexit handler belong to the parent only
-        script = (
-            "import atexit, sys\n"
-            "from idfusion.io import dump_dataset_scores\n"
-            "from idfusion.simulator import DegradationScenario, GeneratorParams, generate_dataset\n"
-            "params = GeneratorParams(num_classes=8, samples_per_class=6, noise_sigma_clean=0.3)\n"
-            "ds = generate_dataset(params, params, DegradationScenario.clean(), 0)\n"
-            "sys.stdout.write('written before the dump\\n')\n"
-            "atexit.register(print, 'atexit handler ran')\n"
-            "dump_dataset_scores(ds, sys.argv[1])\n"
+        _assert_child_leaves_streams_alone(tmp_path, "dump_dataset_scores(ds, sys.argv[1])\n", [])
+
+
+class TestForkedLoad:
+    """``load_paired_dataset`` parses the ECG file in a forked child."""
+
+    def _files(self, tmp_path):
+        return dump_dataset_scores(_desk_dataset(), tmp_path / "scores")
+
+    def test_ecg_error_is_the_direct_loaders(self, tmp_path):
+        face, ecg = self._files(tmp_path)
+        lines = ecg.read_text().splitlines()
+        lines[5] = lines[5].rpartition(",")[0]
+        ecg.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError) as direct:
+            load_score_matrix(ecg)
+        with pytest.raises(ValidationError) as paired:
+            load_paired_dataset(face, ecg)
+        assert type(paired.value) is type(direct.value)
+        assert str(paired.value) == str(direct.value) == f"{ecg}:6: expected 10 fields, got 9"
+
+    def test_face_error_wins_over_ecg_error(self, tmp_path):
+        face, ecg = self._files(tmp_path)
+        face.write_text("sample_id,true_label,face_0,face_1\na,0,0.5\n")
+        ecg.write_text("sample_id,true_label,ecg_0,ecg_1\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(face))}:2: expected 4 fields, got 3$"):
+            load_paired_dataset(face, ecg)
+
+    @pytest.mark.parametrize("reordered", [False, True], ids=["aligned", "reordered"])
+    def test_without_fork_the_dataset_is_the_same(self, tmp_path, monkeypatch, reordered):
+        # 1200 x 40 confidences: the child's matrix is larger than a pipe's buffer
+        params = GeneratorParams(num_classes=40, samples_per_class=30, noise_sigma_clean=0.3)
+        face, ecg = dump_dataset_scores(generate_dataset(params, params, DegradationScenario.clean(), 4), tmp_path)
+        if reordered:
+            lines = ecg.read_text().splitlines()
+            ecg.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
+        forked = load_paired_dataset(face, ecg)
+        monkeypatch.delattr(os, "fork")
+        in_turn = load_paired_dataset(face, ecg)
+        for a, b in ((forked.face, in_turn.face), (forked.ecg, in_turn.ecg)):
+            assert a.values.tobytes() == b.values.tobytes() and a.values.shape == b.values.shape
+            assert a.sample_ids == b.sample_ids and a.modality == b.modality
+            assert not a.values.flags.writeable and not b.values.flags.writeable
+        assert forked.labels.tobytes() == in_turn.labels.tobytes()
+
+    def test_child_that_dies_without_a_message_names_the_ecg_file(self, tmp_path, monkeypatch):
+        face, ecg = self._files(tmp_path)
+        real = load_score_matrix
+
+        def die_on_ecg(path, normalize=True):
+            if Path(path) == ecg:
+                os._exit(7)
+            return real(path, normalize=normalize)
+
+        monkeypatch.setattr(idfusion_io, "load_score_matrix", die_on_ecg)
+        with pytest.raises(OSError, match=f"^{re.escape(str(ecg))}: reader process ended with status 7$"):
+            load_paired_dataset(face, ecg)
+
+    def test_child_leaves_the_parents_streams_alone(self, tmp_path):
+        _assert_child_leaves_streams_alone(
+            tmp_path,
+            "face, ecg = dump_dataset_scores(ds, sys.argv[1])\n"
+            "sys.stdout.write('written before the load\\n')\n"
+            "load_paired_dataset(face, ecg)\n",
+            ["written before the load"],
         )
-        src = str(Path(idfusion_io.__file__).resolve().parent.parent)
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path)],
-            stdout=subprocess.PIPE,
-            text=True,
-            timeout=60,
-            # a pipe makes stdout block-buffered, unless the environment turns buffering off
-            env={**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": path},
-        )
-        assert proc.returncode == 0
-        assert proc.stdout.count("written before the dump\n") == 1
-        assert proc.stdout.count("atexit handler ran\n") == 1
+
+
+def _assert_child_leaves_streams_alone(tmp_path, call, printed):
+    """Run ``call`` where stdout is a pipe and an ``atexit`` handler is set.
+
+    The text written before the dump, then the ``printed`` lines, sit
+    unflushed in the stdout buffer; a forked child must neither print them
+    again nor run the handler.
+    """
+    script = (
+        "import atexit, sys\n"
+        "from idfusion.io import dump_dataset_scores, load_paired_dataset\n"
+        "from idfusion.simulator import DegradationScenario, GeneratorParams, generate_dataset\n"
+        "params = GeneratorParams(num_classes=8, samples_per_class=6, noise_sigma_clean=0.3)\n"
+        "ds = generate_dataset(params, params, DegradationScenario.clean(), 0)\n"
+        "sys.stdout.write('written before the dump\\n')\n"
+        "atexit.register(print, 'atexit handler ran')\n"
+    ) + call
+    src = str(Path(idfusion_io.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        stdout=subprocess.PIPE,
+        text=True,
+        timeout=60,
+        # a pipe makes stdout block-buffered, unless the environment turns buffering off
+        env={**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == ["written before the dump", *printed, "atexit handler ran"]
 
 
 class _TwoArgError(Exception):
@@ -620,10 +692,10 @@ class TestReports:
         assert lines[-1].startswith("avg")
         assert lines[1].split() == ["fold", "face(%)", "ecg(%)", "fused(%)", "weighted_sum(%)"]
 
-    def test_unknown_format_rejected(self, tmp_path):
+    def test_unknown_format_rejected(self):
         report = run_experiment(_desk_dataset(3), k=2, seed=3)
         with pytest.raises(ValidationError):
-            write_report(report, tmp_path / "r.bin", fmt="binary")
+            format_report(report, fmt="binary")
 
 
 class TestFusionModelFiles:
