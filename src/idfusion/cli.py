@@ -14,6 +14,7 @@ Every failure prints a single ``error: ...`` line to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import sys
 from pathlib import Path
@@ -114,6 +115,7 @@ def _add_run_flags(p: _Parser) -> None:
     p.add_argument("--format", choices=["text", "structured"], default="text")
 
 
+@functools.cache  # built once per process; a --config run sets its defaults on a fresh one
 def _build_parser() -> _Parser:
     parser = _Parser(prog="idfusion", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -233,6 +235,13 @@ def _cmd_simulate(args) -> int:
         samples = args.samples
     if args.scenario == "clean" and (args.face_rule is not None or args.ecg_rule is not None):
         raise _UsageError("--face-rule/--ecg-rule require --scenario degraded")
+    # the dataset is one (2, subjects * samples, subjects) float64 block: check it before calibrating
+    size = 16 * subjects * samples * subjects
+    if min(subjects, samples) > 0 and size > np.iinfo(np.intp).max:
+        raise ValidationError(
+            f"--subjects {subjects} and --samples {samples} need a {size}-byte dataset, "
+            "more than this platform can address"
+        )
 
     clean_cal = calibrate_clean_regime(
         num_classes=subjects,
@@ -320,7 +329,9 @@ def main(argv=None) -> int:
         if args.command is None:
             raise _UsageError("a subcommand is required (see --help)")
         if getattr(args, "config", None):
-            # config values become the subcommand's defaults, so explicit flags still win
+            # config values become the subcommand's defaults, so explicit flags still win;
+            # set_defaults outlives the call, so they go on a parser no other call shares
+            parser = _build_parser.__wrapped__()
             command = parser.commands[args.command]
             command.set_defaults(**_config_defaults(command, args.command, args.config))
             args = parser.parse_args(argv)

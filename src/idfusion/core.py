@@ -12,7 +12,7 @@ from.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,10 +43,11 @@ def line_ref(path, line: int) -> str:
 
 
 @contextmanager
-def read_lines(path, what: str, comment: str | None = "#") -> Iterator[Iterator[tuple[list[str], list[int]]]]:
+def read_lines(path, what: str, comment: str | None = "#") -> Iterator[Iterator[tuple[list[str], Sequence[int]]]]:
     """The stripped data lines of a text file, parsed in blocks: ``with read_lines(...) as blocks``.
 
-    Each block is a ``(lines, numbers)`` pair for about 1 MiB of text; ``numbers[k]`` is the
+    Each block is a ``(lines, numbers)`` pair for about 1 MiB of text; ``numbers`` is a sequence
+    (a ``range`` when the block skipped no line, else a list), and ``numbers[k]`` is the
     1-based file line of ``lines[k]``, for :func:`line_ref` in errors. Blank lines are skipped, and
     so are lines starting with ``comment`` (``None``: no comments). Lines end at ``\\n``,
     ``\\r\\n`` or ``\\r`` only, as when iterating over a text file; other characters that
@@ -66,7 +67,7 @@ def read_lines(path, what: str, comment: str | None = "#") -> Iterator[Iterator[
         blocks.close()
 
 
-def _line_blocks(p: Path, what: str, comment: str | None) -> Iterator[tuple[list[str], list[int]]]:
+def _line_blocks(p: Path, what: str, comment: str | None) -> Iterator[tuple[list[str], Sequence[int]]]:
     try:
         with open(p) as f:  # the encoding and newlines of Path.read_text: \r\n and \r read as \n
             n = 0  # lines before this block
@@ -76,12 +77,17 @@ def _line_blocks(p: Path, what: str, comment: str | None) -> Iterator[tuple[list
                 pieces.append(text)
                 if text and "\n" not in text:  # a long line is joined once, when it ends
                     continue
-                raw = "".join(pieces).split("\n")
+                block = "".join(pieces)
+                raw = block.split("\n")
                 pieces = [raw.pop()] if text else []
                 raw = [line.strip() for line in raw]
-                lines = [line for line in raw if line and line[0] != comment]
+                if all(raw) and (comment is None or comment not in block):  # nothing to skip
+                    lines, numbers = raw, range(n + 1, n + 1 + len(raw))
+                else:
+                    lines = [line for line in raw if line and line[0] != comment]
+                    numbers = [k for k, line in enumerate(raw, n + 1) if line and line[0] != comment]
                 if lines:
-                    yield lines, [k for k, line in enumerate(raw, n + 1) if line and line[0] != comment]
+                    yield lines, numbers
                 n += len(raw)
                 if not text:
                     return

@@ -201,8 +201,7 @@ def read_signal(path, sample_rate: float | None = None) -> EcgSignal:
             numbers += block_numbers
             if not csv:
                 try:
-                    for ln in lines:
-                        values.append(float(ln))
+                    values += map(float, lines)  # on a bad line, the values before it stay appended
                 except ValueError as exc:
                     raise ValidationError(f"{line_ref(p, numbers[len(values)])}: non-numeric line in signal file") from exc
                 continue
@@ -233,10 +232,9 @@ def read_signal(path, sample_rate: float | None = None) -> EcgSignal:
 def write_signal(sig: EcgSignal, path) -> None:
     """Write a signal in the format implied by the extension (.csv or text)."""
     p = Path(path)
+    samples = sig.samples.tolist()  # Python floats: repr gives the same text as float(scalar)
     if p.suffix.lower() == ".csv":
-        lines = [
-            f"{i / sig.sample_rate!r},{v!r}" for i, v in enumerate(map(float, sig.samples))
-        ]
+        lines = [f"{i / sig.sample_rate!r},{v!r}" for i, v in enumerate(samples)]
     else:
-        lines = [repr(float(v)) for v in sig.samples]
+        lines = map(repr, samples)
     p.write_text("\n".join(lines) + "\n")

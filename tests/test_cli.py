@@ -1,6 +1,7 @@
 """Command-line behavior: flows, determinism, config merging, exit codes."""
 
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,26 @@ class TestSimulate:
         code = run_cli("simulate", "--face-rule", "2", "--scenario", "clean")
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("scenario", ["clean", "degraded"])
+    def test_unaddressable_size_is_data_error(self, scenario, capsys):
+        # 2 x 10^8 x 10^8 x 10^8 float64 values: past the address space, so rejected
+        # before calibration, and before the degraded rule would visit 10^8 subjects
+        start = time.perf_counter()
+        code = run_cli("simulate", "--subjects", "100000000", "--samples", "100000000",
+                       "--scenario", scenario)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid data: --subjects 100000000 and --samples 100000000 ")
+        assert err.count("\n") == 1
+
+    def test_unallocatable_size_is_runtime_error(self, capsys):
+        # 14.2 PiB can be addressed, but not allocated: a real MemoryError stays exit 3
+        code = run_cli("simulate", "--subjects", "100000", "--samples", "100000")
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: runtime: MemoryError: ") and err.count("\n") == 1
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -458,6 +479,36 @@ class TestUsageAndExitCodes:
         assert run_cli(*(a.format(cfg=cfg) for a in argv)) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err == f"error: usage: {message}\n"
+
+    def test_config_values_stay_with_their_call(self, tmp_path, capsys):
+        # the parser is built once per process: no call may see another call's config values
+        data = Path(__file__).parent / "data"
+        a = tmp_path / "a.cfg"
+        a.write_text(f"face = {data / 'face_raw.csv'}\necg = {data / 'ecg_raw.csv'}\n"
+                     "folds = 5\nseed = 4\nbound = 0.1\nrank-depth = 2\nscenario = lab\n")
+        b = tmp_path / "b.cfg"
+        b.write_text("subjects = 9\nsamples = 8\nfolds = 4\nseed = 11\nbound = 0.3\nrank-depth = 3\n")
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("seed = 99\nfolds = 2\nfaces = a.csv\n")
+        plain = ["simulate", "--subjects", "8", "--samples", "10"]
+        out = [tmp_path / f"{k}.json" for k in range(4)]
+        report = [["--format", "structured", "--out", str(o)] for o in out]
+
+        assert run_cli("evaluate", "--config", str(a), *report[0]) == EXIT_OK
+        assert run_cli(*plain, *report[1]) == EXIT_OK
+        assert run_cli("simulate", "--config", str(b), *report[2]) == EXIT_OK
+        assert run_cli("simulate", "--config", str(bad)) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: usage: unknown config key 'faces' for simulate\n"
+        assert run_cli(*plain, *report[3]) == EXIT_OK
+
+        evaluated, first, configured = (config_of(o) for o in out[:3])
+        assert (evaluated["folds"], evaluated["seed"], evaluated["bound"]) == (5, 4, 0.1)
+        assert (evaluated["rank_depth"], evaluated["scenario"]) == (2, "lab")
+        assert (configured["n_classes"], configured["n_samples"], configured["folds"]) == (9, 72, 4)
+        assert (configured["seed"], configured["bound"], configured["rank_depth"]) == (11, 0.3, 3)
+        assert first == {"bound": EvalConfig.bound, "folds": 10, "n_classes": 8, "n_samples": 80,
+                         "rank_depth": EvalConfig.rank_depth, "scenario": "clean", "seed": 0}
+        assert out[3].read_bytes() == out[1].read_bytes()
 
     def test_unwritable_output_is_runtime_error(self, tmp_path, capsys):
         code = run_cli(

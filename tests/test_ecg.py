@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from idfusion import core
 from idfusion.core import ValidationError
 from idfusion.ecg import (
     DegenerateSignalError,
@@ -197,3 +198,30 @@ class TestSignalFiles:
         path.write_text("# rec\n\n0.5\nhello\n")
         with pytest.raises(ValidationError, match="bad.txt:4: non-numeric"):
             read_signal(path)
+
+    @pytest.mark.parametrize("block", [7, 64, 4096])
+    def test_non_numeric_line_in_a_later_block_names_its_line(self, tmp_path, monkeypatch, block):
+        # a text block is converted in one go; the bad line, not its block, is named
+        monkeypatch.setattr(core, "_READ_BLOCK_CHARS", block)
+        lines = ["# rec", "", *(f"0.{k:04d}" for k in range(1, 1201))]
+        lines[1150] = "0.1.2"
+        path = tmp_path / "late.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError) as got:
+            read_signal(path)
+        assert str(got.value) == f"{path}:1151: non-numeric line in signal file"
+
+    @pytest.mark.parametrize("suffix", [".txt", ".csv"])
+    @pytest.mark.parametrize("rate", [512, 250.5, 3])
+    def test_written_bytes_match_the_per_scalar_formula(self, tmp_path, suffix, rate):
+        # shortest repr of each value as a Python float, as float(numpy scalar) gave it
+        values = [-0.0, 0.0, 1e-05, 1e16, 5e-324, 2.2250738585072014e-308, 0.1 + 0.2,
+                  1 / 3, -2 / 3, 123456789.12345679, 1.7976931348623157e308, -1.5]
+        sig = _sig(values, rate=rate)
+        path = tmp_path / f"sig{suffix}"
+        write_signal(sig, path)
+        if suffix == ".csv":
+            want = [f"{i / sig.sample_rate!r},{float(v)!r}" for i, v in enumerate(sig.samples)]
+        else:
+            want = [repr(float(v)) for v in sig.samples]
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()

@@ -669,6 +669,58 @@ def _check_loader_matches_plain_reader(lines):
             assert load_score_matrix(path, normalize=False)[0].values.tobytes() == raw.tobytes()
 
 
+_TEXT_LINE = (
+    st.sampled_from(["", " ", "\t ", "#", "# note", " #x", "0.5#x", "#1"])
+    | st.floats(allow_nan=False).map(repr)
+    | st.integers(-99, 99).map(str)
+)
+
+
+@st.composite
+def _text_and_block(draw):
+    """Text of numbers, blank, whitespace-only and '#' lines with any of the three line
+    endings, and a block size; sometimes one that cuts the text right before a '#'."""
+    pairs = draw(st.lists(st.tuples(_TEXT_LINE, st.sampled_from(["\n", "\r\n", "\r"])), max_size=30))
+    text = "".join(line + end for line, end in pairs)
+    if draw(st.booleans()):
+        text += draw(_TEXT_LINE)  # a last line that no newline ends
+    block = draw(st.integers(1, 48))
+    read = re.sub("\r\n?", "\n", text)  # blocks are cut in the text as read, where \r\n is one character
+    hashes = [k for k, c in enumerate(read) if c == "#" and k > 0]
+    if hashes and draw(st.booleans()):
+        k = draw(st.sampled_from(hashes))
+        block = draw(st.sampled_from([b for b in range(1, 49) if k % b == 0]))
+    return text, block
+
+
+@given(_text_and_block(), st.sampled_from(["#", None]))
+@settings(max_examples=300, deadline=None)
+def test_line_reader_matches_plain_split(text_and_block, comment):
+    # blocks with nothing to skip and blocks that skip lines must number lines alike
+    text, block = text_and_block
+    stripped = [line.strip() for line in re.split("\r\n|\r|\n", text)]
+    want = [(n, line) for n, line in enumerate(stripped, start=1) if line and line[0] != comment]
+    got_lines, got_numbers = [], []
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(core, "_READ_BLOCK_CHARS", block):
+        path = Path(d) / "text.txt"
+        path.write_bytes(text.encode())
+        with core.read_lines(path, "text", comment) as blocks:
+            for lines, numbers in blocks:
+                assert len(lines) == len(numbers) > 0
+                got_lines += lines
+                got_numbers += numbers
+    assert list(zip(got_numbers, got_lines)) == want
+
+
+def test_block_with_nothing_to_skip_numbers_its_lines_by_range(tmp_path):
+    path = _write(tmp_path / "sig.txt", ["0.1", " 0.2", "0.3 "])
+    with core.read_lines(path, "signal file") as blocks:
+        assert list(blocks) == [(["0.1", "0.2", "0.3"], range(1, 4))]
+    path = _write(tmp_path / "sig.txt", ["0.1", "", "0.3"])
+    with core.read_lines(path, "signal file") as blocks:
+        assert list(blocks) == [(["0.1", "0.3"], [1, 3])]
+
+
 @pytest.mark.parametrize(
     "reader, what",
     [(load_score_matrix, "score file"), (parse_config_file, "config"), (read_signal, "signal file")],
