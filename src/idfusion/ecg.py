@@ -69,10 +69,6 @@ class EcgSignal:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 @dataclass(frozen=True)
 class PeakDetectorConfig:

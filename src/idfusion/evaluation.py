@@ -18,13 +18,12 @@ from .core import ConfidenceMatrix, PairedDataset, ValidationError, as_label_vec
 from .fusion import (
     DEFAULT_BOUND,
     FusionModel,
-    _check_aligned,
     compute_baseline_weights,
     normalize_difference,
     predict_fused_batch,
     predict_weighted_sum_batch,
 )
-from .scoring import DEFAULT_RANK_DEPTH, _clamped_scores, _gaps_and_predictions, _training_set
+from .scoring import DEFAULT_RANK_DEPTH, clamp_scores, rank_samples
 
 __all__ = [
     "FoldAssignment",
@@ -174,16 +173,15 @@ def accuracy(predictions, labels) -> float:
     return float(np.mean(p == y))
 
 
-def _ranked(face: ConfidenceMatrix, ecg: ConfidenceMatrix, labels, cfg: EvalConfig) -> list:
+def _ranked(dataset: PairedDataset, cfg: EvalConfig) -> list:
     """Each sample's confidence gap and top prediction per modality; no fold changes them."""
-    checked = (_training_set(data, labels, cfg.rank_depth) for data in (face, ecg))
-    return [_gaps_and_predictions(values, y, cfg.rank_depth) for values, y in checked]
+    return [rank_samples(data, dataset.labels, cfg.rank_depth) for data in (dataset.face, dataset.ecg)]
 
 
 def _fit(face, ecg, y_train, ranks_train, cfg: EvalConfig) -> FusionModel:
     """Subject scores -> difference vector, from the training rows' gaps and top predictions."""
-    s_face = _clamped_scores(*ranks_train[0], y_train, face.num_classes)
-    s_ecg = _clamped_scores(*ranks_train[1], y_train, ecg.num_classes)
+    s_face = clamp_scores(*ranks_train[0], y_train, face.num_classes)
+    s_ecg = clamp_scores(*ranks_train[1], y_train, ecg.num_classes)
     return FusionModel(
         difference=normalize_difference(s_ecg - s_face, bound=cfg.bound),
         modality_order=(face.modality, ecg.modality),
@@ -194,8 +192,6 @@ def _fold(face, ecg, y, ranks, assignment, fold_id: int, cfg: EvalConfig) -> Fol
     """One fold from the experiment-wide ranks; its training rows keep the order the clamp needs."""
     train_idx = assignment.train_indices(fold_id)
     test_idx = assignment.test_indices(fold_id)
-    if train_idx.size == 0 or test_idx.size == 0:
-        raise ValidationError(f"fold {fold_id} has an empty train or test portion")
     (_, face_top), (_, ecg_top) = ranks
 
     y_train = y[train_idx]
@@ -228,10 +224,9 @@ def train_fusion_model(
     labels,
     cfg: EvalConfig = EvalConfig(),
 ) -> FusionModel:
-    """Fit the fusion rule (subject scores -> difference vector) on a training set."""
-    _check_aligned(face.values, ecg.values)
-    y = as_label_vector(labels, face.num_classes)
-    return _fit(face, ecg, y, _ranked(face, ecg, y, cfg), cfg)
+    """Fit the fusion rule (subject scores -> difference vector) on face and ECG rows of the same samples."""
+    dataset = PairedDataset(face, ecg, labels)
+    return _fit(face, ecg, dataset.labels, _ranked(dataset, cfg), cfg)
 
 
 def run_experiment(
@@ -247,7 +242,7 @@ def run_experiment(
     """
     assignment = make_folds(dataset.labels, k=k, seed=seed)
     face, ecg, y = dataset.face, dataset.ecg, dataset.labels
-    ranks = _ranked(face, ecg, y, cfg)
+    ranks = _ranked(dataset, cfg)
     folds = tuple(_fold(face, ecg, y, ranks, assignment, fold_id, cfg) for fold_id in range(k))
 
     config = RunConfig(

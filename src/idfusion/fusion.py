@@ -61,9 +61,6 @@ class DifferenceVector:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def __len__(self) -> int:
-        return self.values.size
-
 
 def normalize_difference(raw, bound: float = DEFAULT_BOUND) -> DifferenceVector:
     """Rescale a raw difference vector so its peak magnitude equals ``bound``.
@@ -113,13 +110,9 @@ class FusionModel:
             w.setflags(write=False)
         object.__setattr__(self, "_weights", weights)
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.difference)
-
 
 def _check_aligned(face_values: np.ndarray, ecg_values: np.ndarray) -> None:
-    """The shape check shared by both batch decision kernels and the fit."""
+    """The shape check shared by both batch decision kernels."""
     if face_values.shape != ecg_values.shape:
         raise ValidationError(
             f"modality shapes differ: {face_values.shape} vs {ecg_values.shape}"

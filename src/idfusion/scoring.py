@@ -16,7 +16,8 @@ training set.
 
 The clamp makes the loop stateful: the running score of a frequently
 confused subject saturates at zero instead of going arbitrarily
-negative, so samples must be consumed in their given order.
+negative, so samples must be consumed in their given order. Ranking
+(:func:`rank_samples`) needs no order; the clamp (:func:`clamp_scores`) does.
 """
 
 from __future__ import annotations
@@ -32,35 +33,18 @@ from .core import (
     as_label_vector,
 )
 
-__all__ = ["compute_subject_scores"]
+__all__ = ["rank_samples", "clamp_scores", "compute_subject_scores"]
 
 DEFAULT_RANK_DEPTH = 5
 
 
-def _gaps_and_predictions(
-    values: np.ndarray, labels: np.ndarray, rank_depth: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized per-sample confidence gaps and top predictions.
+def rank_samples(confidences, labels, rank_depth: int = DEFAULT_RANK_DEPTH) -> tuple[np.ndarray, np.ndarray]:
+    """The order-free half of scoring: each sample's confidence gap and top prediction.
 
-    The gap of a sample depends only on its own row, so a k-fold experiment
-    computes it once for all folds; only :func:`_clamped_scores` depends on order.
+    ``confidences`` is a :class:`ConfidenceMatrix` or an N x M array in [0, 1].
+    A sample's gap depends only on its own row, so a k-fold experiment ranks
+    every sample once for all folds.
     """
-    rows = np.arange(values.shape[0])
-    peak = values.max(axis=1)
-    # argmax of a read-only matrix copies it whole; argmax of a bool mask does not.
-    # The first True is the first maximum: ties go to the lower index
-    top = np.argmax(values == peak[:, None], axis=1)
-    true = values[rows, labels][:, None]
-    below = np.arange(values.shape[1]) < labels[:, None]
-    # classes ranked above the true one: higher scores, and equal scores at lower indices
-    true_rank = (values > true).sum(axis=1) + ((values == true) & below).sum(axis=1)
-    gap = np.clip(peak - true[:, 0], 0.0, 1.0)
-    out = np.where(true_rank == 0, 0.0, np.where(true_rank < rank_depth, gap, 1.0))
-    return out, top
-
-
-def _training_set(confidences, labels, rank_depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Validated N x M confidences and length-N int64 labels for subject scoring."""
     if isinstance(confidences, ConfidenceMatrix):
         values = confidences.values
     else:
@@ -75,12 +59,31 @@ def _training_set(confidences, labels, rank_depth: int) -> tuple[np.ndarray, np.
         raise ValidationError(f"rank_depth must be >= 1, got {rank_depth}")
     if rank_depth > m:
         raise ValidationError(f"rank_depth {rank_depth} exceeds class count {m}")
-    return values, y
+
+    rows = np.arange(n)
+    peak = values.max(axis=1)
+    # argmax of a read-only matrix copies it whole; argmax of a bool mask does not.
+    # The first True is the first maximum: ties go to the lower index
+    top = np.argmax(values == peak[:, None], axis=1)
+    true = values[rows, y][:, None]
+    below = np.arange(m) < y[:, None]
+    # classes ranked above the true one: higher scores, and equal scores at lower indices
+    true_rank = (values > true).sum(axis=1) + ((values == true) & below).sum(axis=1)
+    gap = np.clip(peak - true[:, 0], 0.0, 1.0)
+    gaps = np.where(true_rank == 0, 0.0, np.where(true_rank < rank_depth, gap, 1.0))
+    return gaps, top
 
 
-def _clamped_scores(gaps, top, labels, num_classes: int) -> np.ndarray:
-    """The order-dependent half of scoring: award, punish and clamp the rows in turn."""
-    counts = np.bincount(labels, minlength=num_classes)
+def clamp_scores(gaps, top, labels, num_classes: int) -> np.ndarray:
+    """The order-dependent half of scoring: award, punish and clamp the ranked rows in turn."""
+    y = as_label_vector(labels, num_classes)
+    top = as_label_vector(top, num_classes, name="top predictions")
+    gaps = np.ascontiguousarray(gaps, dtype=np.float64)
+    if not gaps.shape == top.shape == y.shape:
+        raise ValidationError(f"gaps, top predictions and labels differ in shape: {gaps.shape}, {top.shape}, {y.shape}")
+    if not 0.0 <= gaps.min() <= gaps.max() <= 1.0:  # also false for a NaN gap
+        raise ValidationError(f"gaps must lie in [0, 1], got min={gaps.min()}, max={gaps.max()}")
+    counts = np.bincount(y, minlength=num_classes)
     if counts.min() != counts.max():
         warnings.warn(
             "unbalanced class counts: the N/M normalizer is approximate",
@@ -93,16 +96,16 @@ def _clamped_scores(gaps, top, labels, num_classes: int) -> np.ndarray:
     # updates to the same subject, so this loop must not be reordered.
     # the memoryview yields the gaps one Python float at a time; a list of all N
     # of them (gaps.tolist()) raised evaluate's peak memory by 4-10 MB
-    for d, label, p in zip(memoryview(gaps), labels.tolist(), top.tolist()):
+    for d, label, p in zip(memoryview(gaps), y.tolist(), top.tolist()):
         scores[label] += 1.0 - d
         scores[p] -= d
         if scores[p] < 0.0:
             scores[p] = 0.0
-    return np.asarray(scores, dtype=np.float64) / (labels.size / num_classes)
+    return np.asarray(scores, dtype=np.float64) / (y.size / num_classes)
 
 
 def compute_subject_scores(confidences, labels, rank_depth: int = DEFAULT_RANK_DEPTH) -> np.ndarray:
-    """Run the award/punish scoring loop over a training set.
+    """Run the award/punish scoring loop over a training set: :func:`rank_samples`, then :func:`clamp_scores`.
 
     ``confidences`` may be a :class:`ConfidenceMatrix` or a plain N x M
     array with values in [0, 1]; ``labels`` gives the true class per row.
@@ -110,6 +113,6 @@ def compute_subject_scores(confidences, labels, rank_depth: int = DEFAULT_RANK_D
     true subject before the sample counts as a miss. Returns the length-M
     subject score vector.
     """
-    values, y = _training_set(confidences, labels, rank_depth)
-    gaps, top = _gaps_and_predictions(values, y, rank_depth)
-    return _clamped_scores(gaps, top, y, values.shape[1])
+    gaps, top = rank_samples(confidences, labels, rank_depth)
+    num_classes = np.shape(getattr(confidences, "values", confidences))[1]
+    return clamp_scores(gaps, top, labels, num_classes)

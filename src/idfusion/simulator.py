@@ -107,7 +107,14 @@ class SubjectRule:
         return any(subject_id % d == 0 for d in self.divisors)
 
     def degraded_fraction(self, num_subjects: int) -> float:
-        return sum(self.degraded(i) for i in range(1, num_subjects + 1)) / num_subjects
+        """The share of ids 1..n a divisor divides, by inclusion-exclusion over the lcms <= n."""
+        n = num_subjects
+        terms = {1: 1}  # lcm of a set of divisors -> sum of (-1)^(set size)
+        for d in self.divisors:
+            for lcm, sign in list(terms.items()):
+                if (m := math.lcm(lcm, d)) <= n:
+                    terms[m] = terms.get(m, 0) - sign
+        return (n - sum(c * (n // lcm) for lcm, c in terms.items())) / n
 
 
 @dataclass(frozen=True)
@@ -275,11 +282,10 @@ def calibrate(
     )
 
 
-def _with_sigma(template: GeneratorParams, sigma: float, slot: str) -> GeneratorParams:
-    if slot == "clean":
-        degraded = max(template.noise_sigma_degraded, sigma * 2)
-        return replace(template, noise_sigma_clean=sigma, noise_sigma_degraded=degraded)
-    return replace(template, noise_sigma_degraded=sigma)
+def _with_clean_sigma(template: GeneratorParams, sigma: float) -> GeneratorParams:
+    """The template with a fitted clean sigma; the degraded sigma is raised to twice it if below."""
+    degraded = max(template.noise_sigma_degraded, sigma * 2)
+    return replace(template, noise_sigma_clean=sigma, noise_sigma_degraded=degraded)
 
 
 def degraded_subpopulation_target(
@@ -330,8 +336,8 @@ def calibrate_clean_regime(
     face_cal = calibrate(face_target, template)
     ecg_cal = calibrate(ecg_target, template)
     return RegimeCalibration(
-        face=_with_sigma(template, face_cal.sigma, "clean"),
-        ecg=_with_sigma(template, ecg_cal.sigma, "clean"),
+        face=_with_clean_sigma(template, face_cal.sigma),
+        ecg=_with_clean_sigma(template, ecg_cal.sigma),
         scenario=DegradationScenario.clean(),
         details={"face_clean": face_cal, "ecg_clean": ecg_cal},
     )
@@ -367,7 +373,7 @@ def calibrate_degraded_regime(
             overall, clean_achieved, frac, m
         )
         cal = calibrate(subpop_target, params)
-        fitted[tag] = _with_sigma(params, cal.sigma, "degraded")
+        fitted[tag] = replace(params, noise_sigma_degraded=cal.sigma)
         details[f"{tag}_degraded"] = cal
         details[f"{tag}_mixture_feasible"] = mixable
         details[f"{tag}_degraded_fraction"] = frac

@@ -522,3 +522,84 @@ class TestUsageAndExitCodes:
         run_cli("evaluate", "--face", str(tmp_path / "a.csv"), "--ecg", str(tmp_path / "b.csv"))
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:")
+
+
+DATA = Path(__file__).parent / "data"
+_FACE_RAW, _ECG_RAW = str(DATA / "face_raw.csv"), str(DATA / "ecg_raw.csv")
+
+
+def _ecg_with_a_seventh_class():
+    """ecg_raw.csv with one more confidence column; labels 0-based, so the base stays unambiguous."""
+    header, *rows = (DATA / "ecg_raw.csv").read_text().splitlines()
+    rows = [f"{sid},{int(label) - 1},{rest},0.5" for sid, label, rest in (r.split(",", 2) for r in rows)]
+    return "\n".join([header + ",ecg_6", *rows]) + "\n"
+
+
+_FACE_HEADER = (DATA / "face_raw.csv").read_text().splitlines()[0]
+_FIXTURES = ["--face", _FACE_RAW, "--ecg", _ECG_RAW]
+_VECTORS = ["--face", "0.1,0.9", "--ecg", "0.2,0.8"]
+_RECORDING = ["--in", str(DATA / "ecg_recording.txt"), "--out", "{tmp}/window.txt"]
+
+
+@pytest.mark.parametrize(
+    "argv, files, code, line",
+    [
+        (["evaluate", "--face", _FACE_RAW, "--ecg", "{tmp}/wide.csv", "--folds", "5"],
+         {"wide.csv": _ecg_with_a_seventh_class()},
+         EXIT_DATA, "invalid data: modality shapes differ: (30, 6) vs (30, 7)"),
+        (["prep-ecg", "--in", "{tmp}/nan.txt", "--out", "{tmp}/window.txt"], {"nan.txt": "0.1\nnan\n0.3\n"},
+         EXIT_DATA, "invalid data: signal contains NaN or infinite samples"),
+        (["prep-ecg", *_RECORDING, "--threshold-fraction", "1"], {},
+         EXIT_DATA, "invalid data: threshold_fraction must lie in (0, 1)"),
+        (["prep-ecg", *_RECORDING, "--duration", "0.0005"], {},
+         EXIT_DATA, "invalid data: gate duration is shorter than one sample"),
+        (["prep-ecg", "--in", "{tmp}/blank.txt", "--out", "{tmp}/window.txt"], {"blank.txt": "# lead I\n\n"},
+         EXIT_DATA, "invalid data: signal file {tmp}/blank.txt is empty"),
+        (["evaluate", *_FIXTURES, "--folds", "1"], {}, EXIT_DATA, "invalid data: need at least 2 folds"),
+        (["fuse", "--model", "{tmp}/past.json", *_VECTORS],
+         {"past.json": '{"modality_order": ["face", "ecg"], "bound": 0.2, "difference": [0.3, -0.3]}'},
+         EXIT_DATA, "invalid data: {tmp}/past.json: not a fusion model file: "
+                    "entries exceed the bound: max |d| = 0.3 > 0.2"),
+        (["evaluate", "--face", "{tmp}/empty.csv", "--ecg", _ECG_RAW], {"empty.csv": ""},
+         EXIT_DATA, "invalid data: {tmp}/empty.csv: empty score file"),
+        (["evaluate", "--face", "{tmp}/swapped.csv", "--ecg", _ECG_RAW],
+         {"swapped.csv": _FACE_HEADER.replace("face_2,face_3", "face_3,face_2") + "\n"},
+         EXIT_DATA, "invalid data: {tmp}/swapped.csv:1: confidence columns must be face_0..face_5"),
+        (["evaluate", "--face", "{tmp}/header.csv", "--ecg", _ECG_RAW],
+         {"header.csv": _FACE_HEADER + "\n"},
+         EXIT_DATA, "invalid data: {tmp}/header.csv: no data rows"),
+        (["fuse", "--model", "{tmp}", *_VECTORS], {},
+         EXIT_DATA, "invalid data: cannot read model {tmp}: [Errno 21] Is a directory: '{tmp}'"),
+        (["simulate", "--config", "{tmp}/blank.cfg"], {"blank.cfg": "folds = 3\nseed =\n"},
+         EXIT_DATA, "invalid data: {tmp}/blank.cfg:2: empty key or value"),
+        (["simulate", "--subjects", "1"], {}, EXIT_DATA, "invalid data: need at least 2 classes"),
+        (["simulate", "--samples", "0"], {}, EXIT_DATA, "invalid data: need at least 1 sample per class"),
+        (["simulate", "--scenario", "degraded", "--face-rule", "1"], {},
+         EXIT_DATA, "invalid data: divisors must be >= 2"),
+        (["calibrate", "--target", "1"], {},
+         EXIT_DATA, "invalid data: target accuracy must lie strictly between 0 and 1"),
+        (["simulate", "--seed", "abc"], {},
+         EXIT_USAGE, "usage: argument --seed: seed must be a non-negative integer, got 'abc'"),
+    ],
+    ids=["shapes-differ", "nan-signal", "threshold-fraction", "sub-sample-gate", "empty-signal", "one-fold",
+         "model-past-bound", "empty-score-file", "columns-out-of-sequence", "no-data-rows",
+         "model-is-a-directory", "config-empty-value", "one-class", "no-samples", "divisor-one",
+         "calibrate-target-one", "seed-not-an-integer"],
+)
+def test_error_line(argv, files, code, line, tmp_path, capsys):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {line.format(tmp=tmp_path)}\n"
+
+
+@pytest.mark.parametrize("word", ["0", "false", "No", "OFF"])
+def test_config_boolean_false_words_match_no_flag(word, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"no-normalize = {word}\n")
+    args = ["evaluate", *_FIXTURES, "--folds", "5", "--format", "structured"]
+    assert run_cli(*args, "--out", str(tmp_path / "plain.json")) == EXIT_OK
+    assert run_cli(*args, "--config", str(cfg), "--out", str(tmp_path / "config.json")) == EXIT_OK
+    assert (tmp_path / "config.json").read_bytes() == (tmp_path / "plain.json").read_bytes()

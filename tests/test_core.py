@@ -205,3 +205,21 @@ class TestPairedDataset:
                 ecg=self._matrix(("a", "b"), "ecg"),
                 labels=[0],
             )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: as_confidence_vector([[0.2, 0.8]]), "confidence vector must be 1-D, got shape (1, 2)"),
+        (lambda: as_confidence_vector([0.2, 0.8], name="confidence matrix", ndim=2),
+         "confidence matrix must be 2-D, got shape (2,)"),
+        (lambda: as_label_vector([[0, 1]]), "labels must be 1-D, got shape (1, 2)"),
+        (lambda: as_label_vector([]), "labels is empty"),
+        (lambda: ConfidenceMatrix(np.zeros((3, 2)), ("a", "b"), "face"), "2 sample ids for 3 rows"),
+    ],
+    ids=["vector-2d", "matrix-1d", "labels-2d", "labels-empty", "id-count"],
+)
+def test_error_messages(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -225,3 +225,19 @@ class TestSignalFiles:
         else:
             want = [repr(float(v)) for v in sig.samples]
         assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "samples, message",
+    [
+        (np.zeros((2, 3)), "signal must be a nonempty 1-D array, got shape (2, 3)"),
+        (np.zeros(0), "signal must be a nonempty 1-D array, got shape (0,)"),
+    ],
+    ids=["2d", "empty"],
+)
+def test_signal_shape_messages(samples, message):
+    # NaN samples, the threshold fraction, a sub-sample gate and an empty file are reached
+    # through the CLI, in tests/test_cli.py
+    with pytest.raises(ValidationError) as exc:
+        EcgSignal(samples)
+    assert str(exc.value) == message

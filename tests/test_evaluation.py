@@ -7,6 +7,7 @@ from idfusion.core import ConfidenceMatrix, PairedDataset, ValidationError
 from idfusion.evaluation import (
     EvalConfig,
     ExperimentReport,
+    FoldAssignment,
     FoldResult,
     accuracy,
     make_folds,
@@ -238,3 +239,33 @@ class TestRunExperiment:
         assert (c.seed, c.folds, c.bound, c.rank_depth) == (11, 5, 0.15, 4)
         assert c.scenario == "clean"
         assert (c.n_samples, c.n_classes) == (ds.num_samples, ds.num_classes)
+
+
+class TestTrainFusionModel:
+    def test_rows_of_other_samples_are_rejected(self):
+        # same shapes and labels, but ECG row i is another sample than face row i
+        ds = _desk_dataset(5)
+        order = np.arange(ds.num_samples)
+        order[[0, 1]] = order[[1, 0]]  # two samples of class 0: the labels still agree
+        ecg = ds.ecg.take(order)
+        with pytest.raises(ValidationError) as exc:
+            train_fusion_model(ds.face, ecg, ds.labels)
+        assert str(exc.value) == "modalities must cover the same samples in the same order"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: FoldAssignment(np.zeros((2, 2)), k=2), "fold assignment must be a nonempty 1-D array"),
+        (lambda: FoldAssignment([], k=2), "fold assignment must be a nonempty 1-D array"),
+        (lambda: FoldAssignment([0, 1, 2], k=2), "fold ids must lie in [0, 2)"),
+        (lambda: FoldAssignment([0, -1], k=2), "fold ids must lie in [0, 2)"),
+        (lambda: accuracy([0, 1], [0, 1, 1]), "prediction/label shapes differ: (2,) vs (3,)"),
+        (lambda: accuracy([[0, 1]], [[0, 1]]), "prediction/label shapes differ: (1, 2) vs (1, 2)"),
+    ],
+    ids=["fold-2d", "fold-empty", "fold-id-high", "fold-id-negative", "accuracy-lengths", "accuracy-2d"],
+)
+def test_error_messages(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == message

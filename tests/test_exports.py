@@ -4,9 +4,11 @@ The benchmark tracer walks each module's ``__all__`` with
 ``inspect.getattr_static``, so one stale entry would break every traced run.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +35,15 @@ def test_package_reexports_are_public_names_of_their_modules():
         home = importlib.import_module(getattr(value, "__module__", "idfusion"))
         assert attr in getattr(home, "__all__", ()), f"idfusion.{attr} is not in {home.__name__}.__all__"
         assert getattr(home, attr) is value
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a private name used across modules is a seam the tracer cannot see and the API does not promise
+    src = Path(idfusion.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("idfusion")):
+                found += [f"{path.stem}: from {node.module} import {a.name}" for a in node.names
+                          if a.name.startswith("_")]
+    assert found == []

@@ -78,7 +78,7 @@ class TestDifferenceVector:
         ids = ("a", "b")
         face = ConfidenceMatrix(np.array([[0.9, 0.1], [0.2, 0.8]]), ids, "face")
         ecg = ConfidenceMatrix(np.array([[0.9, 0.1, 0.0], [0.2, 0.8, 0.0]]), ids, "ecg")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^modality shapes differ: \(2, 2\) vs \(2, 3\)$"):
             train_fusion_model(face, ecg, [0, 1], EvalConfig(rank_depth=2))
 
 
@@ -337,3 +337,24 @@ class TestWeightedSumBaseline:
     def test_hand_computed(self):
         w = BaselineWeights(w_face=0.6, w_ecg=0.4)
         assert predict_weighted_sum_batch(np.array([[0.2, 0.8]]), np.array([[0.9, 0.1]]), w)[0] == 1
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: DifferenceVector(np.zeros((2, 2))), "difference vector must be 1-D, got shape (2, 2)"),
+        (lambda: compute_baseline_weights(1.5, 0.5), "accuracies must lie in [0, 1]"),
+        (lambda: compute_baseline_weights(0.5, -0.1), "accuracies must lie in [0, 1]"),
+        (lambda: BaselineWeights(w_face=1.2, w_ecg=-0.2), "weights must lie in [0, 1]"),
+        (lambda: predict_fused_batch(np.eye(2), np.eye(3)[:2], FusionModel(normalize_difference([0.1, 0.0]))),
+         "modality shapes differ: (2, 2) vs (2, 3)"),
+        (lambda: predict_weighted_sum_batch(np.eye(2)[:1], np.eye(2), BaselineWeights(0.5, 0.5)),
+         "modality shapes differ: (1, 2) vs (2, 2)"),
+    ],
+    ids=["difference-2d", "accuracy-high", "accuracy-negative", "weight-range", "fused-shapes",
+         "weighted-sum-shapes"],
+)
+def test_error_messages(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == message

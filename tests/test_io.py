@@ -822,3 +822,12 @@ class TestConfigFiles:
         path = _write(tmp_path / "exp.cfg", ["seed = 1", "seed = 2"])
         with pytest.raises(ValidationError, match="duplicate"):
             parse_config_file(path)
+
+
+def test_writer_checks_the_label_count(tmp_path):
+    # the loader's messages are reached through the CLI, in tests/test_cli.py
+    matrix = ConfidenceMatrix(np.eye(3), ("a", "b", "c"), "face")
+    with pytest.raises(ValidationError) as exc:
+        write_score_matrix(matrix, [0, 1], tmp_path / "face.csv")
+    assert str(exc.value) == "2 labels for 3 rows"
+    assert not (tmp_path / "face.csv").exists()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idfusion.core import ConfidenceMatrix, ValidationError
-from idfusion.scoring import compute_subject_scores
+from idfusion.scoring import clamp_scores, compute_subject_scores, rank_samples
 from reference import rank_indices_reference, subject_scores_reference
 
 
@@ -174,8 +174,10 @@ class TestComputeSubjectScores:
                 spc = n / m
                 depth = int(rng.integers(1, m + 1)) if tied else min(5, m)
                 got = compute_subject_scores(conf, labels, rank_depth=depth)
+                halves = clamp_scores(*rank_samples(conf, labels, depth), labels, m)
                 want = subject_scores_reference(conf, labels, spc, depth)
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+                np.testing.assert_array_equal(halves, got)
 
     @given(
         st.integers(min_value=2, max_value=8),
@@ -190,3 +192,30 @@ class TestComputeSubjectScores:
         scores = compute_subject_scores(conf, labels, rank_depth=min(5, m))
         assert np.all(scores >= 0.0)
         assert np.all(scores <= 1.0)
+
+
+class TestKernelContracts:
+    """The two public halves reject what their loops would silently misread."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: rank_samples([[0.9, 0.1], [0.2, 0.8]], [0, 1, 1], 2), "3 labels for 2 samples"),
+            (lambda: clamp_scores([0.0, 0.5], [0, 0], [0, 1, 1], 2),
+             "gaps, top predictions and labels differ in shape: (2,), (2,), (3,)"),
+            (lambda: clamp_scores([0.0, 0.5, 0.0], [0, 0], [0, 1, 1], 2),
+             "gaps, top predictions and labels differ in shape: (3,), (2,), (3,)"),
+            (lambda: clamp_scores([0.0, 0.5], [0, 0], [0, 2], 2), "labels out of range [0, 2): min=0, max=2"),
+            (lambda: clamp_scores([0.0, 0.5], [0, -1], [0, 1], 2),
+             "top predictions out of range [0, 2): min=-1, max=0"),
+            (lambda: clamp_scores([0.0, 1.5], [0, 0], [0, 1], 2), "gaps must lie in [0, 1], got min=0.0, max=1.5"),
+            (lambda: clamp_scores([0.0, np.nan], [0, 0], [0, 1], 2),
+             "gaps must lie in [0, 1], got min=nan, max=nan"),
+        ],
+        ids=["rank-label-count", "clamp-short-gaps-and-top", "clamp-short-top", "clamp-label-range",
+             "clamp-top-range", "clamp-gap-above-one", "clamp-nan-gap"],
+    )
+    def test_rejects_with_message(self, call, message):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert str(exc.value) == message

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idfusion import simulator
 from idfusion.core import ValidationError
@@ -292,3 +294,39 @@ class TestRegimeCalibration:
         assert abs(ecg_cal.achieved - ecg_cal.target) <= 0.005
         expected_face = reg.details["face_expected_overall"]
         assert abs(expected_face - DEFAULT_DEGRADED_TARGETS[0]) <= 0.01
+
+
+class TestDegradedFraction:
+    """The inclusion-exclusion count against the walk over every subject id."""
+
+    @given(st.lists(st.integers(2, 60), max_size=6), st.integers(1, 400))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_walk_over_all_ids(self, divisors, n):
+        rule = SubjectRule(tuple(divisors))
+        assert rule.degraded_fraction(n) == sum(rule.degraded(i) for i in range(1, n + 1)) / n
+
+    def test_huge_population_is_counted_not_walked(self):
+        n = 10**12
+        assert SubjectRule((2, 3)).degraded_fraction(n) == (n // 2 + n // 3 - n // 6) / n
+
+    def test_repeated_divisors_count_once(self):
+        assert SubjectRule((2,) * 200).degraded_fraction(10**6) == 0.5
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: _params(clean=0.0, degraded=0.9), "noise sigmas must be positive"),
+        (lambda: _params(clean=-0.3, degraded=-0.1), "noise sigmas must be positive"),
+        (lambda: _params(clean=0.5, degraded=0.5), "degraded noise sigma must exceed the clean sigma"),
+        (lambda: degraded_subpopulation_target(0.7, 0.9, 0.0, 10), "degraded fraction must lie in (0, 1]"),
+        (lambda: degraded_subpopulation_target(0.7, 0.9, 1.5, 10), "degraded fraction must lie in (0, 1]"),
+    ],
+    ids=["sigma-zero", "sigma-negative", "degraded-not-above-clean", "fraction-zero", "fraction-above-one"],
+)
+def test_error_messages(call, message):
+    # the class and sample counts, the divisors and the calibrate target are reached
+    # through the CLI, in tests/test_cli.py
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == message
