@@ -107,12 +107,14 @@ def _defaults(fn) -> dict:
 def _add_run_flags(p: _Parser) -> None:
     """Flags shared by the two k-fold experiment commands."""
     run = _defaults(run_experiment)
+    p.add_argument("--config", help="flat key=value config file; flags override it")
     p.add_argument("--seed", type=_seed, default=run["seed"])
     p.add_argument("--folds", type=int, default=run["k"])
     p.add_argument("--bound", type=float, default=EvalConfig.bound)
     p.add_argument("--rank-depth", type=int, default=EvalConfig.rank_depth)
     p.add_argument("--out", help="report path (default: print to stdout)")
     p.add_argument("--format", choices=["text", "structured"], default="text")
+    p.add_argument("--save-model", help="path for the fusion model trained on all samples")
 
 
 @functools.cache  # built once per process; a --config run sets its defaults on a fresh one
@@ -122,7 +124,6 @@ def _build_parser() -> _Parser:
     cal = _defaults(calibrate)
 
     p = sub.add_parser("simulate", help="calibrated synthetic experiment")
-    p.add_argument("--config", help="flat key=value config file; flags override it")
     p.add_argument("--preset", choices=["desk", "full"], default="desk")
     p.add_argument("--subjects", type=int)
     p.add_argument("--samples", type=int, help="samples per subject")
@@ -137,17 +138,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--ecg-overall", type=float, default=DEFAULT_DEGRADED_TARGETS[1])
     _add_run_flags(p)
     p.add_argument("--dump-scores", help="directory for exported score CSVs")
-    p.add_argument("--save-model", help="path for the fusion model trained on all samples")
 
     p = sub.add_parser("evaluate", help="k-fold experiment from score CSVs")
-    p.add_argument("--config")
     p.add_argument("--face", help="face score CSV")
     p.add_argument("--ecg", help="ecg score CSV")
     p.add_argument("--no-normalize", action="store_true",
                    help="trust the files to already be in [0, 1]")
     p.add_argument("--scenario", default=EvalConfig.scenario, help="label echoed into the report")
     _add_run_flags(p)
-    p.add_argument("--save-model")
 
     p = sub.add_parser("fuse", help="single fused prediction from a saved model")
     p.add_argument("--model", required=True)

@@ -13,7 +13,6 @@ from.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,46 +41,31 @@ def line_ref(path, line: int) -> str:
     return f"{path}:{line}"
 
 
-@contextmanager
-def read_lines(path, what: str, comment: str | None = "#") -> Iterator[Iterator[tuple[list[str], Sequence[int]]]]:
-    """The stripped data lines of a text file, parsed in blocks: ``with read_lines(...) as blocks``.
+def read_lines(path, what: str, comment: str | None = "#") -> Iterator[tuple[list[str], Sequence[int]]]:
+    """The stripped data lines of a text file, parsed in blocks: ``for lines, numbers in read_lines(...)``.
 
-    Each block is a ``(lines, numbers)`` pair for about 1 MiB of text; ``numbers`` is a sequence
-    (a ``range`` when the block skipped no line, else a list), and ``numbers[k]`` is the
-    1-based file line of ``lines[k]``, for :func:`line_ref` in errors. Blank lines are skipped, and
-    so are lines starting with ``comment`` (``None``: no comments). Lines end at ``\\n``,
-    ``\\r\\n`` or ``\\r`` only, as when iterating over a text file; other characters that
-    :meth:`str.splitlines` breaks at, such as a form feed, stay in the line.
+    Each block is a ``(lines, numbers)`` pair for about 1 MiB of text that ends at a line end;
+    ``numbers`` is a sequence (a ``range`` when the block skipped no line, else a list), and
+    ``numbers[k]`` is the 1-based file line of ``lines[k]``, for :func:`line_ref` in errors. Blank
+    lines are skipped, and so are lines starting with ``comment`` (``None``: no comments). Lines end
+    at ``\\n``, ``\\r\\n`` or ``\\r`` only, as when iterating over a text file; other characters
+    that :meth:`str.splitlines` breaks at, such as a form feed, stay in the line.
     An unreadable or undecodable file raises :class:`ValidationError` "cannot read <what> <path>: ...".
-    When the body raises a :class:`ValidationError` at a bad line, the rest of the file is read
-    first, so an undecodable byte anywhere in it is reported instead, as for a file read whole.
+    Nothing past a block is read until the caller asks for the next one, so the first fault in file
+    order is reported: a caller that rejects a line stops the read there, and an undecodable byte in
+    a later block is never reached. A block is decoded before it is yielded, so an undecodable byte
+    in the same block as a bad line is the fault reported.
     """
-    blocks = _line_blocks(Path(path), what, comment)
-    try:
-        yield blocks
-    except ValidationError:
-        for _ in blocks:
-            pass
-        raise
-    finally:
-        blocks.close()
-
-
-def _line_blocks(p: Path, what: str, comment: str | None) -> Iterator[tuple[list[str], Sequence[int]]]:
+    p = Path(path)
     try:
         with open(p) as f:  # the encoding and newlines of Path.read_text: \r\n and \r read as \n
             n = 0  # lines before this block
-            pieces: list[str] = []  # the text of a line no newline has ended yet
-            while True:
-                text = f.read(_READ_BLOCK_CHARS)
-                pieces.append(text)
-                if text and "\n" not in text:  # a long line is joined once, when it ends
-                    continue
-                block = "".join(pieces)
-                raw = block.split("\n")
-                pieces = [raw.pop()] if text else []
-                raw = [line.strip() for line in raw]
-                if all(raw) and (comment is None or comment not in block):  # nothing to skip
+            while text := f.read(_READ_BLOCK_CHARS):
+                text += f.readline()  # the block ends where its last line does
+                raw = [line.strip() for line in text.split("\n")]
+                if not raw[-1]:  # after the block's last newline, or a blank last line of the file
+                    raw.pop()
+                if all(raw) and (comment is None or comment not in text):  # nothing to skip
                     lines, numbers = raw, range(n + 1, n + 1 + len(raw))
                 else:
                     lines = [line for line in raw if line and line[0] != comment]
@@ -89,8 +73,6 @@ def _line_blocks(p: Path, what: str, comment: str | None) -> Iterator[tuple[list
                 if lines:
                     yield lines, numbers
                 n += len(raw)
-                if not text:
-                    return
     except (OSError, UnicodeDecodeError) as exc:
         if isinstance(exc, UnicodeDecodeError):
             try:  # decoded whole, the error gives the bad byte's offset in the file, not in a block

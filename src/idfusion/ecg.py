@@ -192,24 +192,23 @@ def read_signal(path, sample_rate: float | None = None) -> EcgSignal:
     times: list[float] = []
     values: list[float] = []
     numbers: list[int] = []
-    with read_lines(p, "signal file") as blocks:
-        for lines, block_numbers in blocks:
-            numbers += block_numbers
-            if not csv:
-                try:
-                    values += map(float, lines)  # on a bad line, the values before it stay appended
-                except ValueError as exc:
-                    raise ValidationError(f"{line_ref(p, numbers[len(values)])}: non-numeric line in signal file") from exc
-                continue
-            for ln, n in zip(lines, block_numbers):
-                parts = [x.strip() for x in ln.split(",")]
-                if len(parts) != 2:
-                    raise ValidationError(f"{line_ref(p, n)}: expected 'time,value', got {ln!r}")
-                try:
-                    times.append(float(parts[0]))
-                    values.append(float(parts[1]))
-                except ValueError as exc:
-                    raise ValidationError(f"{line_ref(p, n)}: non-numeric field") from exc
+    for lines, block_numbers in read_lines(p, "signal file"):
+        numbers += block_numbers
+        if not csv:
+            try:
+                values += map(float, lines)  # on a bad line, the values before it stay appended
+            except ValueError as exc:
+                raise ValidationError(f"{line_ref(p, numbers[len(values)])}: non-numeric line in signal file") from exc
+            continue
+        for ln, n in zip(lines, block_numbers):
+            parts = [x.strip() for x in ln.split(",")]
+            if len(parts) != 2:
+                raise ValidationError(f"{line_ref(p, n)}: expected 'time,value', got {ln!r}")
+            try:
+                times.append(float(parts[0]))
+                values.append(float(parts[1]))
+            except ValueError as exc:
+                raise ValidationError(f"{line_ref(p, n)}: non-numeric field") from exc
     if not numbers:
         raise ValidationError(f"signal file {p} is empty")
     if csv and sample_rate is None:

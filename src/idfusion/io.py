@@ -63,8 +63,7 @@ def load_score_matrix(path, normalize: bool = True) -> tuple[ConfidenceMatrix, n
     start with ``#``: score files have no comments.
     """
     p = Path(path)
-    with read_lines(p, "score file", comment=None) as blocks:
-        modality, ids, labels, numbers, values = _parse_blocks(p, blocks)
+    modality, ids, labels, numbers, values = _parse_blocks(p, read_lines(p, "score file", comment=None))
     m = values.shape[1]
     try:
         y = np.asarray(labels, dtype=np.int64)
@@ -412,17 +411,16 @@ def parse_config_file(path) -> dict[str, str]:
     """Read a flat ``key = value`` config; keys match CLI flag names."""
     p = Path(path)
     out: dict[str, str] = {}
-    with read_lines(p, "config") as blocks:
-        for lines, numbers in blocks:
-            for line, n in zip(lines, numbers):
-                if "=" not in line:
-                    raise ValidationError(f"{line_ref(p, n)}: expected 'key = value', got {line!r}")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                value = value.strip()
-                if not key or not value:
-                    raise ValidationError(f"{line_ref(p, n)}: empty key or value")
-                if key in out:
-                    raise ValidationError(f"{line_ref(p, n)}: duplicate key {key!r}")
-                out[key] = value
+    for lines, numbers in read_lines(p, "config"):
+        for line, n in zip(lines, numbers):
+            if "=" not in line:
+                raise ValidationError(f"{line_ref(p, n)}: expected 'key = value', got {line!r}")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            value = value.strip()
+            if not key or not value:
+                raise ValidationError(f"{line_ref(p, n)}: empty key or value")
+            if key in out:
+                raise ValidationError(f"{line_ref(p, n)}: duplicate key {key!r}")
+            out[key] = value
     return out

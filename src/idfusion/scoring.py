@@ -22,6 +22,7 @@ negative, so samples must be consumed in their given order. Ranking
 
 from __future__ import annotations
 
+import sys
 import warnings
 
 import numpy as np
@@ -85,11 +86,11 @@ def clamp_scores(gaps, top, labels, num_classes: int) -> np.ndarray:
         raise ValidationError(f"gaps must lie in [0, 1], got min={gaps.min()}, max={gaps.max()}")
     counts = np.bincount(y, minlength=num_classes)
     if counts.min() != counts.max():
-        warnings.warn(
-            "unbalanced class counts: the N/M normalizer is approximate",
-            UserWarning,
-            stacklevel=3,
-        )
+        # blame the first caller outside the package (Python 3.12's skip_file_prefixes, by hand)
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals.get("__name__", "").partition(".")[0] == __package__:
+            frame, level = frame.f_back, level + 1
+        warnings.warn("unbalanced class counts: the N/M normalizer is approximate", UserWarning, stacklevel=level)
 
     scores = [0.0] * num_classes
     # Input order is part of the contract: the clamp couples consecutive

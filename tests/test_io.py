@@ -511,15 +511,40 @@ class TestLineReader:
             load_score_matrix(path)
         assert str(got.value) == f"cannot read score file {path}: {whole.value}"
 
-    def test_undecodable_byte_is_reported_before_an_earlier_bad_row(self, tmp_path, monkeypatch):
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, monkeypatch):
+        # the short row is in block 1 and the undecodable byte in block 5, which is never read
         monkeypatch.setattr(core, "_READ_BLOCK_CHARS", 4096)
         lines = _rows(1200)
         lines[3] = "r2,0,0.9"
         lines[1100] = "r1099,1,0.1,\xff0.9"
         path = tmp_path / "late.csv"
         path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
-        with pytest.raises(ValidationError, match="cannot read score file .*late.csv: .*decode"):
+        with pytest.raises(ValidationError) as got:
             load_score_matrix(path)
+        assert str(got.value) == f"{path}:4: expected 4 fields, got 3"
+
+    def test_a_consumer_that_raises_leaves_the_file_closed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "_READ_BLOCK_CHARS", 4096)
+        opened = []
+
+        def spy(*args):
+            opened.append(open(*args))
+            return opened[-1]
+
+        monkeypatch.setattr(core, "open", spy, raising=False)
+        lines = _rows(1200)  # 19 KB: five blocks, and the loader rejects line 4 in the first
+        lines[3] = "r2,0,0.9"
+        path = _write(tmp_path / "big.csv", lines)
+        try:
+            load_score_matrix(path)
+        except ValidationError:
+            pass
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_a_long_line_comes_back_in_one_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(core, "_READ_BLOCK_CHARS", 2)
+        path = _write(tmp_path / "long.txt", ["x" * 1_000_000])
+        assert list(core.read_lines(path, "text")) == [(["x" * 1_000_000], range(1, 2))]
 
     def test_duplicate_id_across_a_block_boundary_names_its_line(self, tmp_path, monkeypatch):
         monkeypatch.setattr(core, "_READ_BLOCK_CHARS", 4096)
@@ -563,7 +588,7 @@ class TestLineReader:
         ids=["score-header", "config-after-long-comment"],
     )
     def test_long_line_across_many_blocks(self, tmp_path, monkeypatch, reader, name, lines, message):
-        # a 1 MB line spans 16 thousand blocks; it is joined once, not once per block
+        # a 1 MB line is 16 thousand blocks long: the block that starts it reads to its end
         monkeypatch.setattr(core, "_READ_BLOCK_CHARS", 64)
         with pytest.raises(ValidationError, match=f"^.*{re.escape(message)}"):
             reader(_write(tmp_path / name, lines))
@@ -704,21 +729,18 @@ def test_line_reader_matches_plain_split(text_and_block, comment):
     with tempfile.TemporaryDirectory() as d, mock.patch.object(core, "_READ_BLOCK_CHARS", block):
         path = Path(d) / "text.txt"
         path.write_bytes(text.encode())
-        with core.read_lines(path, "text", comment) as blocks:
-            for lines, numbers in blocks:
-                assert len(lines) == len(numbers) > 0
-                got_lines += lines
-                got_numbers += numbers
+        for lines, numbers in core.read_lines(path, "text", comment):
+            assert len(lines) == len(numbers) > 0
+            got_lines += lines
+            got_numbers += numbers
     assert list(zip(got_numbers, got_lines)) == want
 
 
 def test_block_with_nothing_to_skip_numbers_its_lines_by_range(tmp_path):
     path = _write(tmp_path / "sig.txt", ["0.1", " 0.2", "0.3 "])
-    with core.read_lines(path, "signal file") as blocks:
-        assert list(blocks) == [(["0.1", "0.2", "0.3"], range(1, 4))]
+    assert list(core.read_lines(path, "signal file")) == [(["0.1", "0.2", "0.3"], range(1, 4))]
     path = _write(tmp_path / "sig.txt", ["0.1", "", "0.3"])
-    with core.read_lines(path, "signal file") as blocks:
-        assert list(blocks) == [(["0.1", "0.3"], [1, 3])]
+    assert list(core.read_lines(path, "signal file")) == [(["0.1", "0.3"], [1, 3])]
 
 
 @pytest.mark.parametrize(
