@@ -72,7 +72,7 @@ def normalize_difference(raw, bound: float = DEFAULT_BOUND) -> DifferenceVector:
     if not np.all(np.isfinite(v)):
         raise ValidationError("difference vector contains NaN or infinite entries")
     peak = np.abs(v).max() if v.size else 0.0
-    if peak == 0.0:
+    if peak == 0.0 or not 0.0 < bound < 0.5:  # DifferenceVector rejects a bad bound before anything is scaled by it
         return DifferenceVector(values=v.copy(), bound=bound)
     # divide by the peak first: no overflow for tiny vectors, and the peak
     # entry maps to exactly +-1 and hence exactly +-bound

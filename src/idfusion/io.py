@@ -15,8 +15,8 @@ into id, label and confidence text, and ``np.loadtxt`` converts the
 block's confidences in one call. A block the bulk parse cannot take (a wrong
 field count, a repeated id, a number only ``float()`` reads, such as
 ``1_0``) is parsed again line by line, which names the first bad line.
-Checks that span rows (the label base, non-finite, constant and too-wide
-rows, the [0, 1] range) run after the last block.
+Each block's rows are checked as soon as it is parsed; only the label
+base waits for the last block.
 """
 
 from __future__ import annotations
@@ -60,51 +60,30 @@ def load_score_matrix(path, normalize: bool = True) -> tuple[ConfidenceMatrix, n
     A constant row is rejected in both modes: its argmax would silently be
     class 0. So is a row with a NaN or infinite confidence, and, with
     ``normalize``, a row whose span max - min overflows. A sample id may
-    start with ``#``: score files have no comments.
+    start with ``#``: score files have no comments. A fault is reported at
+    the first row where the rows read so far prove it.
     """
     p = Path(path)
-    modality, ids, labels, numbers, values = _parse_blocks(p, read_lines(p, "score file", comment=None))
+    modality, ids, labels, values = _parse_blocks(p, read_lines(p, "score file", comment=None), normalize)
     m = values.shape[1]
-    try:
-        y = np.asarray(labels, dtype=np.int64)
-    except OverflowError:
-        k = next(k for k, v in enumerate(labels) if not -(2**63) <= v < 2**63)
-        raise ValidationError(f"{line_ref(p, numbers[k])}: label out of range for {m} classes") from None
+    y = np.asarray(labels, dtype=np.int64)  # every label is in [0, 2**63): the row checks saw to it
     lo, hi = int(y.min()), int(y.max())
     if 0 < lo and hi - lo < m - 1:  # bases lo - 1 and lo both fit every label
         raise ValidationError(
             f"{p}: ambiguous label base: labels {lo}..{hi} fit {m} classes "
             f"from any base in {max(0, hi - m + 1)}..{lo}"
         )
-    y -= max(lo, 0)
-    bad = np.nonzero((y < 0) | (y >= m))[0]
-    if bad.size:
-        raise ValidationError(f"{line_ref(p, numbers[int(bad[0])])}: label out of range for {m} classes")
-    bad = np.nonzero(~np.isfinite(values).all(axis=1))[0]
-    if bad.size:
-        raise ValidationError(f"{line_ref(p, numbers[int(bad[0])])}: NaN or infinite confidence")
-    with np.errstate(over="ignore"):  # a finite row can still be too wide: checked below
-        span = values.max(axis=1) - values.min(axis=1)
-    flat = np.nonzero(span == 0.0)[0]
-    if flat.size:
-        raise ValidationError(f"{line_ref(p, numbers[int(flat[0])])}: constant score row ranks no class")
+    y -= lo
     if normalize:
-        wide = np.nonzero(span == np.inf)[0]
-        if wide.size:
-            raise ValidationError(f"{line_ref(p, numbers[int(wide[0])])}: score row span overflows float64; it cannot be normalized")
         values = as_confidence_vector(values, ndim=2, normalize=True)
-    else:
-        bad = np.nonzero(((values < 0.0) | (values > 1.0)).any(axis=1))[0]
-        if bad.size:
-            raise ValidationError(f"{line_ref(p, numbers[int(bad[0])])}: confidence outside [0, 1] without normalization")
     return ConfidenceMatrix(values=values, sample_ids=tuple(ids), modality=modality), y
 
 
-def _parse_blocks(p: Path, blocks) -> tuple[str, dict[str, None], list[int], list[int], np.ndarray]:
-    """Check the header, then parse the data rows block by block.
+def _parse_blocks(p: Path, blocks, normalize: bool) -> tuple[str, dict[str, None], list[int], np.ndarray]:
+    """Check the header, then parse and check the data rows block by block.
 
-    Returns the modality tag, the sample ids (an ordered set), the labels,
-    the file line of each row and the raw confidences.
+    Returns the modality tag, the sample ids (an ordered set), the labels
+    and the raw confidences.
     """
     first = next(blocks, None)
     if first is None:
@@ -125,15 +104,44 @@ def _parse_blocks(p: Path, blocks) -> tuple[str, dict[str, None], list[int], lis
     labels: list[int] = []
     numbers: list[int] = []
     chunks: list[np.ndarray] = []
+    low, high = 2**63, 0  # the label range so far; no label at or above 2**63 fits a base
     for lines, block_numbers in itertools.chain([(first[0][1:], first[1][1:])], blocks):
         if lines:
             block_labels, values = _parse_block(p, lines, block_numbers, ids, m)
             labels += block_labels
             numbers += block_numbers
+            low, high = min(low, min(block_labels)), max(high, max(block_labels))
+            _check_rows(p, values, labels, numbers, low, high, normalize)
             chunks.append(values)
     if not chunks:
         raise ValidationError(f"{p}: no data rows")
-    return modality, ids, labels, numbers, np.concatenate(chunks)
+    return modality, ids, labels, np.concatenate(chunks)
+
+
+def _check_rows(p: Path, values: np.ndarray, labels, numbers, low: int, high: int, normalize: bool) -> None:
+    """Reject the first bad row read so far, once a block's confidences ``values`` are parsed.
+
+    ``labels`` and ``numbers`` cover every row so far, and ``low``..``high`` is their label range.
+    The base can only fall, so every label must lie in ``[0, max(low, 0) + M)``; a label fault wins a tie.
+    """
+    m = values.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a too-wide or non-finite row: flagged below
+        span = values.max(axis=1) - values.min(axis=1)
+    faults = [
+        (~np.isfinite(values).all(axis=1), "NaN or infinite confidence"),
+        (span == 0.0, "constant score row ranks no class"),
+        (span == np.inf, "score row span overflows float64; it cannot be normalized") if normalize else
+        (((values < 0.0) | (values > 1.0)).any(axis=1), "confidence outside [0, 1] without normalization"),
+    ]
+    bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in faults]))
+    k = len(labels) - len(values) + int(bad[0]) if bad.size else len(labels)
+    limit = min(max(low, 0) + m, 2**63)
+    if low < 0 or high >= limit:
+        j = next(j for j, label in enumerate(labels) if not 0 <= label < limit)
+        if j <= k:
+            raise ValidationError(f"{line_ref(p, numbers[j])}: label out of range for {m} classes")
+    if bad.size:
+        raise ValidationError(f"{line_ref(p, numbers[k])}: " + next(text for mask, text in faults if mask[bad[0]]))
 
 
 def _parse_block(p: Path, lines, numbers, ids: dict[str, None], m: int) -> tuple[list[int], np.ndarray]:
@@ -148,7 +156,7 @@ def _parse_block(p: Path, lines, numbers, ids: dict[str, None], m: int) -> tuple
         new = dict.fromkeys(f[0].strip() for f in fields)
         labels = [int(f[1]) for f in fields]
         tails = [f[2] for f in fields]
-        # loadtxt skips an empty tail ("a,0,"), and warns if every tail is
+        # loadtxt would skip an empty tail ("a,0,") and warn if every tail were empty: go line by line
         if all(tails) and len(new) == len(fields) and ids.keys().isdisjoint(new):
             values = np.loadtxt(tails, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
             if values.shape == (len(fields), m):
@@ -253,12 +261,12 @@ def _fork_pair(here, there, child: str):
     """Return ``(here(), there())``, running ``there`` in a forked child.
 
     The parser and the writer hold the GIL, so a thread would not overlap
-    them. The child sends back its result, or its exception (as
-    ``RuntimeError(str(exc))`` if it cannot be rebuilt), pickled through a
-    pipe, with array data out of band so this process holds it once. It
-    leaves by ``os._exit``: it runs no ``atexit`` handler and flushes no
-    inherited stdio buffer. An error of ``here`` wins; a child that ends
-    without a message raises ``OSError`` naming ``child``. Without
+    them. The child pickles its result, or its exception (as
+    ``RuntimeError(str(exc))`` if it cannot be rebuilt), straight into a
+    pipe, and this process unpickles it from there, holding its arrays once.
+    The child leaves by ``os._exit``: it runs no ``atexit`` handler and
+    flushes no inherited stdio buffer. An error of ``here`` wins; a child
+    that ends without a message raises ``OSError`` naming ``child``. Without
     ``os.fork`` the two run in turn.
     """
     if not hasattr(os, "fork"):
@@ -269,20 +277,16 @@ def _fork_pair(here, there, child: str):
         status = 1
         try:
             os.close(r)
-            buffers: list[pickle.PickleBuffer] = []
             try:
-                message = pickle.dumps((True, there()), protocol=5, buffer_callback=buffers.append)
+                outcome = (True, there())
             except BaseException as exc:
-                buffers.clear()
+                outcome = (False, exc)
                 try:
-                    message = pickle.dumps((False, exc))
-                    pickle.loads(message)  # an exception that cannot be rebuilt there goes as its text
+                    pickle.loads(pickle.dumps(outcome))  # an exception that cannot be rebuilt there goes as its text
                 except BaseException:
-                    message = pickle.dumps((False, RuntimeError(str(exc))))
+                    outcome = (False, RuntimeError(str(exc)))
             with open(w, "wb") as f:
-                pickle.dump(([b.raw().nbytes for b in buffers], message), f)
-                for b in buffers:
-                    f.write(b.raw())
+                pickle.dump(outcome, f, protocol=5)  # an array goes as one raw buffer, which the parent wraps
             status = 0
         finally:
             os._exit(status)
@@ -290,15 +294,11 @@ def _fork_pair(here, there, child: str):
     try:
         mine = here()
     finally:
-        outcome = None
         with open(r, "rb") as f:
             try:
-                sizes, message = pickle.load(f)
-                buffers = [bytearray(n) for n in sizes]
-                if all(f.readinto(b) == len(b) for b in buffers):
-                    outcome = pickle.loads(message, buffers=buffers)
+                outcome = pickle.load(f)
             except (EOFError, pickle.UnpicklingError):  # the child ended before it wrote it all
-                pass
+                outcome = None
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if outcome is None:
         raise OSError(f"{child} process ended with status {code}")

@@ -81,6 +81,12 @@ class TestSimulate:
         assert err.startswith("error: invalid data: --subjects 100000000 and --samples 100000000 ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("bound", ["inf", "nan", "-inf"])
+    def test_non_finite_bound_is_data_error(self, bound, capsys):
+        # the bound is checked before the difference vector is scaled by it: no numpy warning, no NaN blamed
+        assert run_cli("simulate", "--preset", "desk", "--seed", "0", f"--bound={bound}") == EXIT_DATA
+        assert capsys.readouterr().err == "error: invalid data: bound must lie in (0, 0.5) to keep all weights positive\n"
+
     def test_unallocatable_size_is_runtime_error(self, capsys):
         # 14.2 PiB can be addressed, but not allocated: a real MemoryError stays exit 3
         code = run_cli("simulate", "--subjects", "100000", "--samples", "100000")

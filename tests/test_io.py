@@ -370,6 +370,18 @@ class TestForkedLoad:
     def _files(self, tmp_path):
         return dump_dataset_scores(_desk_dataset(), tmp_path / "scores")
 
+    def test_child_result_is_held_once(self):
+        # an 8700 x 87 matrix, as evaluate's ECG file at the paper's scale, comes back without a second copy
+        values = np.random.default_rng(0).random((8700, 87))
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            _, got = idfusion_io._fork_pair(lambda: None, values.copy, "matrix")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == values.tobytes()
+        assert peak < 1.5 * values.nbytes
+
     def test_ecg_error_is_the_direct_loaders(self, tmp_path):
         face, ecg = self._files(tmp_path)
         lines = ecg.read_text().splitlines()
@@ -511,17 +523,51 @@ class TestLineReader:
             load_score_matrix(path)
         assert str(got.value) == f"cannot read score file {path}: {whole.value}"
 
-    def test_first_fault_in_file_order_is_reported(self, tmp_path, monkeypatch):
-        # the short row is in block 1 and the undecodable byte in block 5, which is never read
+    @pytest.mark.parametrize(
+        "row, normalize, message",
+        [
+            ("r2,0,0.9", True, "expected 4 fields, got 3"),
+            ("r2,0,0.5,0.5", True, "constant score row ranks no class"),
+            ("r2,0,nan,0.1", True, "NaN or infinite confidence"),
+            ("r2,7,0.9,0.1", True, "label out of range for 2 classes"),
+            ("r2,-1,0.9,0.1", True, "label out of range for 2 classes"),
+            (f"r2,{2**64},0.9,0.1", True, "label out of range for 2 classes"),
+            ("r2,0,-1e308,1e308", True, "score row span overflows float64; it cannot be normalized"),
+            ("r2,0,1.5,0.1", False, "confidence outside [0, 1] without normalization"),
+        ],
+        ids=["short-row", "constant", "nan", "label-7", "label-negative", "label-2**64", "span-overflow", "outside-unit"],
+    )
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, monkeypatch, row, normalize, message):
+        # the bad row is in block 1 and the undecodable byte in block 5, which is never read
         monkeypatch.setattr(core, "_READ_BLOCK_CHARS", 4096)
         lines = _rows(1200)
-        lines[3] = "r2,0,0.9"
+        lines[3] = row
         lines[1100] = "r1099,1,0.1,\xff0.9"
         path = tmp_path / "late.csv"
         path.write_bytes("\n".join(lines).encode("latin-1") + b"\n")
         with pytest.raises(ValidationError) as got:
+            load_score_matrix(path, normalize=normalize)
+        assert str(got.value) == f"{path}:4: {message}"
+
+    def test_first_bad_row_wins_over_the_first_kind_of_check(self, tmp_path):
+        # a NaN at line 900 and a constant row at line 3: the constant row comes first in the file
+        lines = _rows(1200)
+        lines[899] = "r898,0,nan,0.1"
+        lines[2] = "r1,1,0.5,0.5"
+        path = _write(tmp_path / "two.csv", lines)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:3: constant score row ranks no class$"):
             load_score_matrix(path)
-        assert str(got.value) == f"{path}:4: expected 4 fields, got 3"
+
+    def test_a_falling_label_base_blames_the_first_label_it_leaves_out(self, tmp_path, monkeypatch):
+        # labels 5 and 6 fit base 5 until label 0 at line 1002, four blocks on, lowers the base to 0:
+        # then the label 5 at line 2 is the first that fits no base, not the first of line 1002's block
+        monkeypatch.setattr(core, "_READ_BLOCK_CHARS", 4096)
+        lines = _rows(1200)
+        lines[1:] = [f"r{i},{5 + i % 2},0.9,0.1" for i in range(1200)]
+        lines[1001] = "r1000,0,0.9,0.1"
+        path = _write(tmp_path / "fall.csv", lines)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:2: label out of range for 2 classes$"):
+            load_score_matrix(path)
 
     def test_a_consumer_that_raises_leaves_the_file_closed(self, tmp_path, monkeypatch):
         monkeypatch.setattr(core, "_READ_BLOCK_CHARS", 4096)
