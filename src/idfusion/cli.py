@@ -59,7 +59,21 @@ class _UsageError(Exception):
     pass
 
 
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token that starts with "-" is an option name unless this matches it; argparse's own
+        # pattern takes only -<digits>[.<digits>], so "--bound -inf" and "--mean -5e-1" lost their value
+        self._negative_number_matcher = argparse.Namespace(match=_is_float)
+
     # argparse exits 2 on bad usage by default; route through our codes instead
     def error(self, message):
         raise _UsageError(message)

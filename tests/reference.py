@@ -1,4 +1,4 @@
-"""Independent reference implementations and fixture builders for the tests.
+"""Independent reference implementations, fixture builders and a child-process environment for the tests.
 
 Everything here is deliberately plain and unoptimized so it can serve as
 an oracle for the library's vectorized paths: straight-line loops, list
@@ -9,8 +9,12 @@ calibration's trapezoidal rule it cross-checks.
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
+
+import idfusion
 
 
 def rank_indices_reference(values, n):
@@ -102,3 +106,14 @@ def make_pulse_train(
                 rise = 1.0 - abs(k) / (pulse_half_width + 1)
                 samples[idx] = max(samples[idx], amp * rise)
     return samples, apexes[0]
+
+
+def child_env():
+    """A copy of ``os.environ`` for a child Python that must import this process's ``idfusion``.
+
+    The parent directory of that package goes first on ``PYTHONPATH``: ``src`` when the
+    tests run from the source tree, site-packages when they run against an installed copy.
+    """
+    package_root = str(Path(idfusion.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}

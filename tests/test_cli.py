@@ -1,6 +1,8 @@
 """Command-line behavior: flows, determinism, config merging, exit codes."""
 
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from idfusion.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from idfusion.evaluation import EvalConfig, run_experiment
 from idfusion.fusion import predict_fused
 from idfusion.io import format_report, load_fusion_model, load_paired_dataset
-from reference import make_pulse_train
+from reference import child_env, make_pulse_train
 
 
 def run_cli(*argv):
@@ -80,12 +82,6 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid data: --subjects 100000000 and --samples 100000000 ")
         assert err.count("\n") == 1
-
-    @pytest.mark.parametrize("bound", ["inf", "nan", "-inf"])
-    def test_non_finite_bound_is_data_error(self, bound, capsys):
-        # the bound is checked before the difference vector is scaled by it: no numpy warning, no NaN blamed
-        assert run_cli("simulate", "--preset", "desk", "--seed", "0", f"--bound={bound}") == EXIT_DATA
-        assert capsys.readouterr().err == "error: invalid data: bound must lie in (0, 0.5) to keep all weights positive\n"
 
     def test_unallocatable_size_is_runtime_error(self, capsys):
         # 14.2 PiB can be addressed, but not allocated: a real MemoryError stays exit 3
@@ -406,20 +402,6 @@ class TestCalibrateCommand:
         assert abs(doc["achieved"] - 0.9) <= 0.005
         assert doc["sigma"] > 0
 
-    def test_flat_landscape_is_runtime_error(self, capsys):
-        code = run_cli(
-            "calibrate", "--target", "0.5", "--classes", "2", "--mean", "0.0",
-        )
-        assert code == EXIT_RUNTIME
-        assert capsys.readouterr().err.startswith("error: runtime:")
-
-    @pytest.mark.parametrize("mean", ["nan", "inf", "-inf"])
-    def test_non_finite_mean_is_data_error(self, mean, capsys):
-        assert run_cli("calibrate", "--target", "0.9", f"--mean={mean}") == EXIT_DATA
-        err = capsys.readouterr().err
-        assert err.startswith("error: invalid data: true-class mean must be finite")
-        assert err.count("\n") == 1
-
     @pytest.mark.parametrize(
         "bounds",
         [["--sigma-min", "0"], ["--sigma-min", "5", "--sigma-max", "1"], ["--sigma-min", "-1"]],
@@ -457,16 +439,6 @@ class TestUsageAndExitCodes:
 
     def test_unknown_flag(self, capsys):
         assert run_cli("simulate", "--bogus") == EXIT_USAGE
-
-    @pytest.mark.parametrize(
-        "argv",
-        [["simulate"], ["evaluate", "--face", "f.csv", "--ecg", "e.csv"]],
-        ids=["simulate", "evaluate"],
-    )
-    def test_negative_seed_is_usage_error(self, argv, capsys):
-        assert run_cli(*argv, "--seed", "-1") == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err == "error: usage: argument --seed: seed must be a non-negative integer, got '-1'\n"
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -541,64 +513,203 @@ def _ecg_with_a_seventh_class():
     return "\n".join([header + ",ecg_6", *rows]) + "\n"
 
 
+def _with_line(name, index, line):
+    """The tests/data file ``name`` with its line at ``index`` replaced by ``line``."""
+    lines = (DATA / name).read_text().splitlines()
+    lines[index] = line
+    return "\n".join(lines) + "\n"
+
+
+def _late_byte_file(line_3=None):
+    """1200 rows of 87 scores, about 1.3 MB, with 0xff opening line 1101: past the first 1 MiB block."""
+    rows = ["sample_id,true_label," + ",".join(f"face_{j}" for j in range(87))]
+    rows += [f"r{i},{i % 87}," + ",".join(f"0.{(i + j) % 87:02d}12345678" for j in range(87)) for i in range(1200)]
+    rows[2] = line_3 or rows[2]
+    return "\n".join(rows[:1100]).encode() + b"\n\xff" + "\n".join(rows[1100:]).encode() + b"\n"
+
+
+_SIGNAL = (DATA / "ecg_recording.txt").read_text().splitlines()
+_SHORT_ECG_ROW = _with_line("ecg_raw.csv", 3, "s14,2,-1.0649,-0.6631,-0.9821,-0.0489,-1.6345")
 _FACE_HEADER = (DATA / "face_raw.csv").read_text().splitlines()[0]
+_SWAPPED_MODEL = json.dumps({**json.loads((DATA / "model.json").read_text()), "modality_order": ["ecg", "face"]})
 _FIXTURES = ["--face", _FACE_RAW, "--ecg", _ECG_RAW]
 _VECTORS = ["--face", "0.1,0.9", "--ecg", "0.2,0.8"]
+_SIX_CLASS_VECTORS = ["--face", "0.1,0.9,0.3,0.2,0.4,0.5", "--ecg", "0.2,0.3,0.8,0.1,0.0,0.6"]
 _RECORDING = ["--in", str(DATA / "ecg_recording.txt"), "--out", "{tmp}/window.txt"]
+_DESK = ["simulate", "--preset", "desk", "--seed", "0"]
+_EVALUATE_LATE = ["evaluate", "--face", "{tmp}/late.csv", "--ecg", _ECG_RAW, "--folds", "5"]
+_BOUND = "invalid data: bound must lie in (0, 0.5) to keep all weights positive"
+_DIRECTORY = object()  # a ``files`` value: make a directory by that name
+
+# One CLI call per row, run by both tests below. ``files`` are written to {tmp} first. A row with
+# a non-zero code must print nothing to stdout and exactly "error: <line>" to stderr; a row with
+# code 0 must print nothing to stderr (what it writes is pinned by test_digests.py).
+_CASES = [
+    pytest.param(["evaluate", "--face", _FACE_RAW, "--ecg", "{tmp}/wide.csv", "--folds", "5"],
+                 {"wide.csv": _ecg_with_a_seventh_class()},
+                 EXIT_DATA, "invalid data: modality shapes differ: (30, 6) vs (30, 7)", id="shapes-differ"),
+    pytest.param(["prep-ecg", "--in", "{tmp}/nan.txt", "--out", "{tmp}/window.txt"], {"nan.txt": "0.1\nnan\n0.3\n"},
+                 EXIT_DATA, "invalid data: signal contains NaN or infinite samples", id="nan-signal"),
+    pytest.param(["prep-ecg", *_RECORDING, "--threshold-fraction", "1"], {},
+                 EXIT_DATA, "invalid data: threshold_fraction must lie in (0, 1)", id="threshold-fraction"),
+    pytest.param(["prep-ecg", *_RECORDING, "--duration", "0.0005"], {},
+                 EXIT_DATA, "invalid data: gate duration is shorter than one sample", id="sub-sample-gate"),
+    pytest.param(["prep-ecg", "--in", "{tmp}/blank.txt", "--out", "{tmp}/window.txt"], {"blank.txt": "# lead I\n\n"},
+                 EXIT_DATA, "invalid data: signal file {tmp}/blank.txt is empty", id="empty-signal"),
+    pytest.param(["evaluate", *_FIXTURES, "--folds", "1"], {}, EXIT_DATA, "invalid data: need at least 2 folds",
+                 id="one-fold"),
+    pytest.param(["fuse", "--model", "{tmp}/past.json", *_VECTORS],
+                 {"past.json": '{"modality_order": ["face", "ecg"], "bound": 0.2, "difference": [0.3, -0.3]}'},
+                 EXIT_DATA, "invalid data: {tmp}/past.json: not a fusion model file: "
+                            "entries exceed the bound: max |d| = 0.3 > 0.2", id="model-past-bound"),
+    pytest.param(["evaluate", "--face", "{tmp}/empty.csv", "--ecg", _ECG_RAW], {"empty.csv": ""},
+                 EXIT_DATA, "invalid data: {tmp}/empty.csv: empty score file", id="empty-score-file"),
+    pytest.param(["evaluate", "--face", "{tmp}/swapped.csv", "--ecg", _ECG_RAW],
+                 {"swapped.csv": _FACE_HEADER.replace("face_2,face_3", "face_3,face_2") + "\n"},
+                 EXIT_DATA, "invalid data: {tmp}/swapped.csv:1: confidence columns must be face_0..face_5",
+                 id="columns-out-of-sequence"),
+    pytest.param(["evaluate", "--face", "{tmp}/header.csv", "--ecg", _ECG_RAW], {"header.csv": _FACE_HEADER + "\n"},
+                 EXIT_DATA, "invalid data: {tmp}/header.csv: no data rows", id="no-data-rows"),
+    pytest.param(["fuse", "--model", "{tmp}", *_VECTORS], {},
+                 EXIT_DATA, "invalid data: cannot read model {tmp}: [Errno 21] Is a directory: '{tmp}'",
+                 id="model-is-a-directory"),
+    pytest.param(["simulate", "--config", "{tmp}/blank.cfg"], {"blank.cfg": "folds = 3\nseed =\n"},
+                 EXIT_DATA, "invalid data: {tmp}/blank.cfg:2: empty key or value", id="config-empty-value"),
+    pytest.param(["simulate", "--subjects", "1"], {}, EXIT_DATA, "invalid data: need at least 2 classes",
+                 id="one-class"),
+    pytest.param(["simulate", "--samples", "0"], {}, EXIT_DATA, "invalid data: need at least 1 sample per class",
+                 id="no-samples"),
+    pytest.param(["simulate", "--scenario", "degraded", "--face-rule", "1"], {},
+                 EXIT_DATA, "invalid data: divisors must be >= 2", id="divisor-one"),
+    pytest.param(["calibrate", "--target", "1"], {},
+                 EXIT_DATA, "invalid data: target accuracy must lie strictly between 0 and 1",
+                 id="calibrate-target-one"),
+    pytest.param(["simulate", "--seed", "abc"], {},
+                 EXIT_USAGE, "usage: argument --seed: seed must be a non-negative integer, got 'abc'",
+                 id="seed-not-an-integer"),
+    pytest.param(["simulate", "--seed", "-1"], {},
+                 EXIT_USAGE, "usage: argument --seed: seed must be a non-negative integer, got '-1'",
+                 id="negative-seed"),
+    pytest.param(["evaluate", "--face", "f.csv", "--ecg", "e.csv", "--seed", "-1"], {},
+                 EXIT_USAGE, "usage: argument --seed: seed must be a non-negative integer, got '-1'",
+                 id="negative-seed-evaluate"),
+    # the score export writes the ECG file in a forked child
+    pytest.param([*_DESK, "--dump-scores", "{tmp}/scores"], {}, EXIT_OK, None, id="dump-scores"),
+    pytest.param([*_DESK, "--dump-scores", "{tmp}"], {"ecg_scores.csv": _DIRECTORY},
+                 EXIT_RUNTIME, "runtime: [Errno 21] Is a directory: '{tmp}/ecg_scores.csv'",
+                 id="dump-ecg-file-is-a-directory"),
+    # the bound is checked before the difference vector is scaled by it: no numpy warning, no NaN blamed;
+    # a negative value may follow its flag as a separate argument
+    pytest.param([*_DESK, "--bound=inf"], {}, EXIT_DATA, _BOUND, id="bound-inf"),
+    pytest.param([*_DESK, "--bound=nan"], {}, EXIT_DATA, _BOUND, id="bound-nan"),
+    pytest.param([*_DESK, "--bound=-inf"], {}, EXIT_DATA, _BOUND, id="bound-minus-inf"),
+    pytest.param([*_DESK, "--bound", "-inf"], {}, EXIT_DATA, _BOUND, id="bound-minus-inf-separate"),
+    pytest.param([*_DESK, "--bound", "-1e-1"], {}, EXIT_DATA, _BOUND, id="bound-negative-exponent-separate"),
+    pytest.param(["simulate", "--subjects", "100000000", "--samples", "100000000", "--scenario", "degraded"], {},
+                 EXIT_DATA, "invalid data: --subjects 100000000 and --samples 100000000 need a "
+                            "16000000000000000000000000-byte dataset, more than this platform can address",
+                 id="unaddressable-size"),
+    # the fixtures: scoring, the fit and one fused decision; model.json is what the fit saves
+    pytest.param(["evaluate", *_FIXTURES, "--folds", "5"], {}, EXIT_OK, None, id="evaluate-fixtures"),
+    pytest.param(["evaluate", *_FIXTURES, "--folds", "5", "--save-model", "{tmp}/saved.json"], {},
+                 EXIT_OK, None, id="evaluate-save-model"),
+    pytest.param(["fuse", "--model", str(DATA / "model.json"), *_SIX_CLASS_VECTORS], {},
+                 EXIT_OK, None, id="fuse-fixtures"),
+    pytest.param(["evaluate", "--face", _ECG_RAW, "--ecg", _FACE_RAW, "--folds", "5", "--save-model", "{tmp}/m.json"],
+                 {}, EXIT_DATA,
+                 f"invalid data: {_ECG_RAW}: given as the face score file, but its columns are tagged 'ecg'",
+                 id="evaluate-swapped-files"),
+    pytest.param(["fuse", "--model", "{tmp}/swapped.json", *_SIX_CLASS_VECTORS], {"swapped.json": _SWAPPED_MODEL},
+                 EXIT_DATA, "invalid data: {tmp}/swapped.json: not a fusion model file: modality_order "
+                            "['ecg', 'face'] puts ecg on the face (minus) side or face on the ecg (plus) side",
+                 id="fuse-swapped-model"),
+    # evaluate parses the ECG file in a forked child; the first fault in file order is the one reported
+    pytest.param(["evaluate", "--face", "{tmp}/wide.csv", "--ecg", _ECG_RAW, "--folds", "5"],
+                 {"wide.csv": _with_line("face_raw.csv", 1, "s00,1,-1e308,1e308,0,0,0,0")},
+                 EXIT_DATA,
+                 "invalid data: {tmp}/wide.csv:2: score row span overflows float64; it cannot be normalized",
+                 id="span-overflow-row"),
+    pytest.param(_EVALUATE_LATE, {"late.csv": _late_byte_file()},
+                 EXIT_DATA, "invalid data: cannot read score file {tmp}/late.csv: "
+                            "'utf-8' codec can't decode byte 0xff in position 1252327: invalid start byte",
+                 id="late-undecodable-byte"),
+    pytest.param(_EVALUATE_LATE, {"late.csv": _late_byte_file("r1,1," + ",".join(["0.5"] * 86))},
+                 EXIT_DATA, "invalid data: {tmp}/late.csv:3: expected 89 fields, got 88",
+                 id="short-row-before-late-byte"),
+    pytest.param(_EVALUATE_LATE, {"late.csv": _late_byte_file("r1,1," + ",".join(["0.5"] * 87))},
+                 EXIT_DATA, "invalid data: {tmp}/late.csv:3: constant score row ranks no class",
+                 id="constant-row-before-late-byte"),
+    pytest.param(["evaluate", "--face", _FACE_RAW, "--ecg", "{tmp}/short.csv", "--folds", "5"],
+                 {"short.csv": _SHORT_ECG_ROW},
+                 EXIT_DATA, "invalid data: {tmp}/short.csv:4: expected 8 fields, got 7", id="short-ecg-row"),
+    pytest.param(["evaluate", "--face", "{tmp}/no_face.csv", "--ecg", "{tmp}/short.csv", "--folds", "5"],
+                 {"short.csv": _SHORT_ECG_ROW},
+                 EXIT_DATA, "invalid data: cannot read score file {tmp}/no_face.csv: "
+                            "[Errno 2] No such file or directory: '{tmp}/no_face.csv'",
+                 id="missing-face-before-bad-ecg"),
+    # prep-ecg reads a recording a block at a time
+    pytest.param(["prep-ecg", *_RECORDING, "--duration", "1"], {}, EXIT_OK, None, id="prep-ecg-one-second"),
+    pytest.param(["prep-ecg", *_RECORDING, "--rate", "nan"], {},
+                 EXIT_DATA, "invalid data: sample rate must be finite and positive", id="rate-nan"),
+    pytest.param(["prep-ecg", *_RECORDING, "--rate", "1e308"], {},
+                 EXIT_DATA, "invalid data: gate duration of 4.0 s at 1e+308 Hz overflows the sample count",
+                 id="rate-overflows-sample-count"),
+    pytest.param(["prep-ecg", "--in", "{tmp}/late.txt", "--out", "{tmp}/window.txt"],
+                 {"late.txt": "\n".join([*_SIGNAL[:2], "# lead I", *_SIGNAL[2:-3], "0.2.1", *_SIGNAL[-2:]]) + "\n"},
+                 EXIT_DATA, "invalid data: {tmp}/late.txt:1023: non-numeric line in signal file",
+                 id="late-non-numeric-line"),
+    # calibrate: the paper's ECG accuracy (test_writes_result_json checks the fit); a zero mean moves nothing
+    pytest.param(["calibrate", "--target", "0.961", "--classes", "87", "--out", "{tmp}/cal.json"], {},
+                 EXIT_OK, None, id="calibrate-paper-ecg"),
+    pytest.param(["calibrate", "--target", "0.961", "--mean", "nan"], {},
+                 EXIT_DATA, "invalid data: true-class mean must be finite, got nan", id="mean-nan"),
+    pytest.param(["calibrate", "--target", "0.9", "--mean=inf"], {},
+                 EXIT_DATA, "invalid data: true-class mean must be finite, got inf", id="mean-inf"),
+    pytest.param(["calibrate", "--target", "0.9", "--mean=-inf"], {},
+                 EXIT_DATA, "invalid data: true-class mean must be finite, got -inf", id="mean-minus-inf"),
+    pytest.param(["calibrate", "--target", "0.5", "--classes", "2", "--mean", "0"], {},
+                 EXIT_RUNTIME, "runtime: flat accuracy landscape (0.5000 to 0.5000); "
+                               "the true-class offset cannot move accuracy in this range", id="flat-landscape"),
+]
 
 
-@pytest.mark.parametrize(
-    "argv, files, code, line",
-    [
-        (["evaluate", "--face", _FACE_RAW, "--ecg", "{tmp}/wide.csv", "--folds", "5"],
-         {"wide.csv": _ecg_with_a_seventh_class()},
-         EXIT_DATA, "invalid data: modality shapes differ: (30, 6) vs (30, 7)"),
-        (["prep-ecg", "--in", "{tmp}/nan.txt", "--out", "{tmp}/window.txt"], {"nan.txt": "0.1\nnan\n0.3\n"},
-         EXIT_DATA, "invalid data: signal contains NaN or infinite samples"),
-        (["prep-ecg", *_RECORDING, "--threshold-fraction", "1"], {},
-         EXIT_DATA, "invalid data: threshold_fraction must lie in (0, 1)"),
-        (["prep-ecg", *_RECORDING, "--duration", "0.0005"], {},
-         EXIT_DATA, "invalid data: gate duration is shorter than one sample"),
-        (["prep-ecg", "--in", "{tmp}/blank.txt", "--out", "{tmp}/window.txt"], {"blank.txt": "# lead I\n\n"},
-         EXIT_DATA, "invalid data: signal file {tmp}/blank.txt is empty"),
-        (["evaluate", *_FIXTURES, "--folds", "1"], {}, EXIT_DATA, "invalid data: need at least 2 folds"),
-        (["fuse", "--model", "{tmp}/past.json", *_VECTORS],
-         {"past.json": '{"modality_order": ["face", "ecg"], "bound": 0.2, "difference": [0.3, -0.3]}'},
-         EXIT_DATA, "invalid data: {tmp}/past.json: not a fusion model file: "
-                    "entries exceed the bound: max |d| = 0.3 > 0.2"),
-        (["evaluate", "--face", "{tmp}/empty.csv", "--ecg", _ECG_RAW], {"empty.csv": ""},
-         EXIT_DATA, "invalid data: {tmp}/empty.csv: empty score file"),
-        (["evaluate", "--face", "{tmp}/swapped.csv", "--ecg", _ECG_RAW],
-         {"swapped.csv": _FACE_HEADER.replace("face_2,face_3", "face_3,face_2") + "\n"},
-         EXIT_DATA, "invalid data: {tmp}/swapped.csv:1: confidence columns must be face_0..face_5"),
-        (["evaluate", "--face", "{tmp}/header.csv", "--ecg", _ECG_RAW],
-         {"header.csv": _FACE_HEADER + "\n"},
-         EXIT_DATA, "invalid data: {tmp}/header.csv: no data rows"),
-        (["fuse", "--model", "{tmp}", *_VECTORS], {},
-         EXIT_DATA, "invalid data: cannot read model {tmp}: [Errno 21] Is a directory: '{tmp}'"),
-        (["simulate", "--config", "{tmp}/blank.cfg"], {"blank.cfg": "folds = 3\nseed =\n"},
-         EXIT_DATA, "invalid data: {tmp}/blank.cfg:2: empty key or value"),
-        (["simulate", "--subjects", "1"], {}, EXIT_DATA, "invalid data: need at least 2 classes"),
-        (["simulate", "--samples", "0"], {}, EXIT_DATA, "invalid data: need at least 1 sample per class"),
-        (["simulate", "--scenario", "degraded", "--face-rule", "1"], {},
-         EXIT_DATA, "invalid data: divisors must be >= 2"),
-        (["calibrate", "--target", "1"], {},
-         EXIT_DATA, "invalid data: target accuracy must lie strictly between 0 and 1"),
-        (["simulate", "--seed", "abc"], {},
-         EXIT_USAGE, "usage: argument --seed: seed must be a non-negative integer, got 'abc'"),
-    ],
-    ids=["shapes-differ", "nan-signal", "threshold-fraction", "sub-sample-gate", "empty-signal", "one-fold",
-         "model-past-bound", "empty-score-file", "columns-out-of-sequence", "no-data-rows",
-         "model-is-a-directory", "config-empty-value", "one-class", "no-samples", "divisor-one",
-         "calibrate-target-one", "seed-not-an-integer"],
-)
+def _prepare(argv, files, tmp_path):
+    """Write a case's files; return its arguments."""
+    for name, content in files.items():
+        path = tmp_path / name
+        if content is _DIRECTORY:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+    return [a.format(tmp=tmp_path) for a in argv]
+
+
+def _check(got_code, out, err, code, line, tmp_path):
+    assert got_code == code
+    if code == EXIT_OK:
+        assert err == ""
+    else:
+        assert (out, err) == ("", f"error: {line.format(tmp=tmp_path)}\n")
+
+
+@pytest.mark.parametrize("argv, files, code, line", _CASES)
 def test_error_line(argv, files, code, line, tmp_path, capsys):
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
-    assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == code
+    got_code = main(_prepare(argv, files, tmp_path))
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {line.format(tmp=tmp_path)}\n"
+    _check(got_code, captured.out, captured.err, code, line, tmp_path)
+
+
+@pytest.mark.parametrize("argv, files, code, line", _CASES)
+def test_error_line_in_a_process(argv, files, code, line, tmp_path):
+    # a line that a forked child, numpy or the interpreter writes to the process's own stderr shows
+    # here; capsys does not see what a forked child writes
+    proc = subprocess.run(
+        [sys.executable, "-m", "idfusion.cli", *_prepare(argv, files, tmp_path)],
+        capture_output=True, text=True, cwd=tmp_path, env=child_env(), timeout=120,
+    )
+    _check(proc.returncode, proc.stdout, proc.stderr, code, line, tmp_path)
 
 
 @pytest.mark.parametrize("word", ["0", "false", "No", "OFF"])

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from idfusion import core
 from idfusion import io as idfusion_io
-from idfusion.cli import main as cli_main
 from idfusion.core import ConfidenceMatrix, ValidationError, as_confidence_vector
 from idfusion.ecg import read_signal
 from idfusion.evaluation import EvalConfig, run_experiment, train_fusion_model
@@ -34,6 +33,7 @@ from idfusion.io import (
     write_score_matrix,
 )
 from idfusion.simulator import DegradationScenario, GeneratorParams, generate_dataset
+from reference import child_env
 
 
 def _write(path, lines):
@@ -352,14 +352,6 @@ class TestForkedDump:
         with pytest.raises(RuntimeError, match="^disk is full$"):
             dump_dataset_scores(_desk_dataset(), tmp_path)
 
-    def test_cli_ecg_error_is_one_line_and_exit_3(self, tmp_path, capsys):
-        (tmp_path / "ecg_scores.csv").mkdir()
-        code = cli_main(["simulate", "--preset", "desk", "--seed", "0", "--dump-scores", str(tmp_path)])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert err.count("error:") == 1 and err.count("\n") == 1
-        assert err.startswith("error: runtime: [Errno 21] Is a directory: ") and "ecg_scores.csv" in err
-
     def test_child_leaves_the_parents_streams_alone(self, tmp_path):
         _assert_child_leaves_streams_alone(tmp_path, "dump_dataset_scores(ds, sys.argv[1])\n", [])
 
@@ -457,15 +449,14 @@ def _assert_child_leaves_streams_alone(tmp_path, call, printed):
         "sys.stdout.write('written before the dump\\n')\n"
         "atexit.register(print, 'atexit handler ran')\n"
     ) + call
-    src = str(Path(idfusion_io.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)  # a pipe makes stdout block-buffered, unless this turns buffering off
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path)],
         stdout=subprocess.PIPE,
         text=True,
         timeout=60,
-        # a pipe makes stdout block-buffered, unless the environment turns buffering off
-        env={**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, "PYTHONPATH": path},
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["written before the dump", *printed, "atexit handler ran"]
