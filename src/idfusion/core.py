@@ -7,7 +7,7 @@ commensurate. :func:`as_confidence_vector` is the one place that decides
 what a confidence row is and how a raw score row becomes one; a constant
 raw row ranks no class and is an error, in the library as in the CLI.
 This module also owns the line reader every text input format is parsed
-from.
+from, and :func:`repr_rows`, which formats every float a text output holds.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "as_label_vector",
     "line_ref",
     "read_lines",
+    "repr_rows",
 ]
 
 
@@ -80,6 +81,28 @@ def read_lines(path, what: str, comment: str | None = "#") -> Iterator[tuple[lis
             except (OSError, UnicodeDecodeError) as whole:
                 exc = whole
         raise ValidationError(f"cannot read {what} {p}: {exc}") from exc
+
+
+def repr_rows(block) -> list[str]:
+    """Each row of a 2-D float array as its values' ``repr``, comma-separated.
+
+    orjson writes the shortest round-trip digits of a float, as ``repr`` does, in C; only its
+    layout of a magnitude below ``1e-4`` or from ``1e16`` on differs (``0.00001`` for ``1e-05``,
+    ``1e16`` for ``1e+16``), and it writes a NaN or infinity as ``null``. A row holding such a
+    value is formatted with ``repr`` instead.
+    """
+    import orjson  # on first use: a process that writes no text, such as one fused decision, never loads it
+
+    a = np.ascontiguousarray(block, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValidationError(f"repr_rows needs a 2-D array, got shape {a.shape}")
+    if not a.shape[0]:
+        return []
+    rows = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode().split("],[")
+    mag = np.abs(a)
+    for i in np.flatnonzero((((0.0 < mag) & (mag < 1e-4)) | ~(mag < 1e16)).any(axis=1)).tolist():
+        rows[i] = ",".join(map(repr, a[i].tolist()))
+    return rows
 
 
 def as_confidence_vector(

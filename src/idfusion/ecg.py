@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ValidationError, as_confidence_vector, line_ref, read_lines
+from .core import ValidationError, as_confidence_vector, line_ref, read_lines, repr_rows
 
 __all__ = [
     "EcgSignal",
@@ -227,9 +227,8 @@ def read_signal(path, sample_rate: float | None = None) -> EcgSignal:
 def write_signal(sig: EcgSignal, path) -> None:
     """Write a signal in the format implied by the extension (.csv or text)."""
     p = Path(path)
-    samples = sig.samples.tolist()  # Python floats: repr gives the same text as float(scalar)
-    if p.suffix.lower() == ".csv":
-        lines = [f"{i / sig.sample_rate!r},{v!r}" for i, v in enumerate(samples)]
+    if p.suffix.lower() == ".csv":  # time i / rate next to sample i
+        block = np.column_stack([np.arange(len(sig)) / sig.sample_rate, sig.samples])
     else:
-        lines = map(repr, samples)
-    p.write_text("\n".join(lines) + "\n")
+        block = sig.samples[:, None]
+    p.write_text("\n".join(repr_rows(block)) + "\n")

@@ -3,20 +3,20 @@
 Score files are plain CSV, one row per sample: ``sample_id, true_label``
 followed by one confidence column per enrolled subject. The header's
 confidence columns are named ``<modality>_<index>``, which carries both
-the modality tag and the class count. Floats are written with ``repr`` so
-a write/read round trip is bit-exact. A score file is written one row at
-a time, so a dump holds one row's text in memory, not the whole file. The
-two files of a dump are written at once, and the two files of a paired
-load are parsed at once: the ECG file in a forked child, the face file in
-this process, with the same bytes, arrays and errors as one after the
-other. A score file is parsed in blocks of about 1 MiB of text, so a
-load holds one block's text, not the whole file: each line is split once
-into id, label and confidence text, and ``np.loadtxt`` converts the
-block's confidences in one call. A block the bulk parse cannot take (a wrong
-field count, a repeated id, a number only ``float()`` reads, such as
-``1_0``) is parsed again line by line, which names the first bad line.
-Each block's rows are checked as soon as it is parsed; only the label
-base waits for the last block.
+the modality tag and the class count. Floats are written as their ``repr``
+(by :func:`~idfusion.core.repr_rows`, in C) so a write/read round trip is
+bit-exact. A score file is written in blocks of 16 rows, so a dump holds
+one block's text in memory, not the whole file. The two files of a dump
+are written at once, and the two files of a paired load are parsed at
+once: the ECG file in a forked child, the face file in this process, with
+the same bytes, arrays and errors as one after the other. A score file is
+parsed in blocks of about 1 MiB of text, so a load holds one block's text,
+not the whole file: each line is split once into id, label and confidence
+text, and ``np.loadtxt`` converts the block's confidences in one call. A
+block the bulk parse cannot take (a wrong field count, a repeated id, a
+number only ``float()`` reads, such as ``1_0``) is parsed again line by
+line, which names the first bad line. Each block's rows are checked as
+soon as it is parsed; only the label base waits for the last block.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfidenceMatrix, PairedDataset, ValidationError, as_confidence_vector, line_ref, read_lines
+from .core import (
+    ConfidenceMatrix, PairedDataset, ValidationError, as_confidence_vector, line_ref, read_lines, repr_rows,
+)
 from .evaluation import ExperimentReport
 from .fusion import DifferenceVector, FusionModel
 
@@ -194,6 +196,11 @@ def _parse_rows(p: Path, lines, numbers, ids: dict[str, None], m: int) -> tuple[
     return labels, np.asarray(rows, dtype=np.float64)
 
 
+# rows formatted at once. At 87 classes a block is about 27 KB of text; 64-row blocks (106 KB, past
+# glibc's 64 KiB consolidation size) grew the heap of a process that dumps again and again by 10 MB
+_WRITE_BLOCK_ROWS = 16
+
+
 def write_score_matrix(matrix: ConfidenceMatrix, labels, path) -> None:
     """Write one modality's scores in the CSV format ``load_score_matrix`` reads."""
     y = np.asarray(labels, dtype=np.int64)
@@ -202,10 +209,13 @@ def write_score_matrix(matrix: ConfidenceMatrix, labels, path) -> None:
     header = ["sample_id", "true_label"] + [
         f"{matrix.modality}_{j}" for j in range(matrix.num_classes)
     ]
+    ids, y = matrix.sample_ids, y.tolist()
     with open(path, "w") as f:  # the encoding and newlines of Path.write_text
         f.write(",".join(header) + "\n")
-        for sid, label, row in zip(matrix.sample_ids, y.tolist(), matrix.values):
-            f.write(f"{sid},{label}," + ",".join(map(repr, row.tolist())) + "\n")
+        for i in range(0, len(ids), _WRITE_BLOCK_ROWS):
+            block = slice(i, i + _WRITE_BLOCK_ROWS)
+            rows = repr_rows(matrix.values[block])
+            f.write("".join(f"{sid},{label},{row}\n" for sid, label, row in zip(ids[block], y[block], rows)))
 
 
 def load_paired_dataset(face_path, ecg_path, normalize: bool = True) -> PairedDataset:

@@ -75,6 +75,8 @@ class GeneratorParams:
             raise ValidationError("need at least 1 sample per class")
         if not math.isfinite(self.true_class_mean):
             raise ValidationError(f"true-class mean must be finite, got {self.true_class_mean}")
+        if self.true_class_mean < 0:  # a negative offset inverts the accuracy landscape
+            raise ValidationError(f"true-class mean must not be negative, got {self.true_class_mean}")
         for name in ("noise_sigma_clean", "noise_sigma_degraded"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")

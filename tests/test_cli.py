@@ -667,6 +667,9 @@ _CASES = [
                  EXIT_DATA, "invalid data: true-class mean must be finite, got inf", id="mean-inf"),
     pytest.param(["calibrate", "--target", "0.9", "--mean=-inf"], {},
                  EXIT_DATA, "invalid data: true-class mean must be finite, got -inf", id="mean-minus-inf"),
+    # a negative mean inverts the landscape: accuracy would rise with sigma
+    pytest.param(["calibrate", "--target", "0.9", "--mean", "-5e-1"], {},
+                 EXIT_DATA, "invalid data: true-class mean must not be negative, got -0.5", id="mean-negative"),
     pytest.param(["calibrate", "--target", "0.5", "--classes", "2", "--mean", "0"], {},
                  EXIT_RUNTIME, "runtime: flat accuracy landscape (0.5000 to 0.5000); "
                                "the true-class offset cannot move accuracy in this range", id="flat-landscape"),

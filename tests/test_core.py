@@ -1,4 +1,4 @@
-"""The ingestion kernel, label checks and the shared container types.
+"""The ingestion kernel, label checks, the float formatter and the shared container types.
 
 Ranking is tested in test_scoring.py, where its one kernel lives.
 """
@@ -18,6 +18,7 @@ from idfusion.core import (
     ValidationError,
     as_confidence_vector,
     as_label_vector,
+    repr_rows,
 )
 
 
@@ -141,6 +142,57 @@ class TestAsLabelVector:
                 as_label_vector(labels, num_classes)
 
 
+def _joined_reprs(rows):
+    return [",".join(map(repr, row)) for row in rows]
+
+
+# where orjson's layout and repr's part: 1e-4, 1e-5 and 1e16, each with its two float neighbours
+_LAYOUT_EDGES = [
+    float(x) * sign
+    for edge in (1e-4, 1e-5, 1e16)
+    for x in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))
+    for sign in (1.0, -1.0)
+]
+# every finite float, -0.0 and subnormals included
+edge_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_LAYOUT_EDGES)
+float_rows = st.integers(min_value=1, max_value=6).flatmap(
+    lambda m: st.lists(st.lists(edge_floats, min_size=m, max_size=m), min_size=1, max_size=8)
+)
+
+
+class TestReprRows:
+    @given(float_rows)
+    @settings(max_examples=500, deadline=None)
+    def test_rows_are_joined_reprs(self, rows):
+        assert repr_rows(np.array(rows)) == _joined_reprs(rows)
+
+    def test_random_bit_patterns(self):
+        # 10**5 float64 bit patterns, NaNs and infinities among them, 100 to a row
+        bits = np.random.default_rng(25).integers(0, 2**64, size=(1000, 100), dtype=np.uint64)
+        values = bits.view(np.float64)
+        assert repr_rows(values) == _joined_reprs(values.tolist())
+
+    def test_every_power_of_two_and_of_ten(self):
+        powers = [2.0**k for k in range(-1074, 1024)] + [float(f"1e{k}") for k in range(-323, 309)]
+        column = [[sign * v] for v in powers for sign in (1.0, -1.0)]
+        assert repr_rows(np.array(column)) == _joined_reprs(column)
+
+    def test_non_finite_values_are_their_repr(self):
+        rows = [[np.nan, np.inf, -np.inf, 0.5], [0.25, 1.0, 2.0, 3.0]]
+        assert repr_rows(rows) == ["nan,inf,-inf,0.5", "0.25,1.0,2.0,3.0"]
+
+    @pytest.mark.parametrize("shape, want", [((0, 3), []), ((2, 0), ["", ""])])
+    def test_empty_shapes(self, shape, want):
+        assert repr_rows(np.zeros(shape)) == want
+
+    def test_any_layout_and_dtype_is_formatted_as_float64(self):
+        a = np.arange(12, dtype=np.float32).reshape(3, 4)
+        want = _joined_reprs(a.astype(np.float64).tolist())
+        assert repr_rows(a) == want
+        assert repr_rows(np.asfortranarray(a)) == want
+        assert repr_rows(a.astype(">f8")) == want
+
+
 class TestConfidenceMatrix:
     def test_basic_construction(self):
         cm = ConfidenceMatrix(
@@ -216,8 +268,9 @@ class TestPairedDataset:
         (lambda: as_label_vector([[0, 1]]), "labels must be 1-D, got shape (1, 2)"),
         (lambda: as_label_vector([]), "labels is empty"),
         (lambda: ConfidenceMatrix(np.zeros((3, 2)), ("a", "b"), "face"), "2 sample ids for 3 rows"),
+        (lambda: repr_rows([0.5, 1.0]), "repr_rows needs a 2-D array, got shape (2,)"),
     ],
-    ids=["vector-2d", "matrix-1d", "labels-2d", "labels-empty", "id-count"],
+    ids=["vector-2d", "matrix-1d", "labels-2d", "labels-empty", "id-count", "repr-rows-1d"],
 )
 def test_error_messages(call, message):
     with pytest.raises(ValidationError) as exc:

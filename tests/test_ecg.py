@@ -217,6 +217,7 @@ class TestSignalFiles:
         # shortest repr of each value as a Python float, as float(numpy scalar) gave it
         values = [-0.0, 0.0, 1e-05, 1e16, 5e-324, 2.2250738585072014e-308, 0.1 + 0.2,
                   1 / 3, -2 / 3, 123456789.12345679, 1.7976931348623157e308, -1.5]
+        values += np.random.default_rng(5).normal(scale=0.3, size=2000).tolist()  # a window's worth
         sig = _sig(values, rate=rate)
         path = tmp_path / f"sig{suffix}"
         write_signal(sig, path)

@@ -92,6 +92,19 @@ class TestScoreFiles:
                 for sid, y, row in (("a", 3, awkward), ("b", 0, awkward[::-1]))]
         assert path.read_text() == "\n".join([header] + rows) + "\n"
 
+    def test_blocks_write_the_per_row_repr_form(self, tmp_path):
+        # two full blocks and a short one; every fifth row holds a value that repr writes with an exponent
+        n = 2 * idfusion_io._WRITE_BLOCK_ROWS + 2
+        values = np.random.default_rng(5).random((n, 7))
+        values[::5, 3] = 1.5e-7
+        matrix = ConfidenceMatrix(values, tuple(f"s{i}" for i in range(n)), "ecg")
+        labels = np.arange(n) % 7
+        path = tmp_path / "scores.csv"
+        write_score_matrix(matrix, labels, path)
+        header = "sample_id,true_label," + ",".join(f"ecg_{j}" for j in range(7))
+        rows = [f"s{i},{i % 7}," + ",".join(map(repr, row)) for i, row in enumerate(values.tolist())]
+        assert path.read_text() == "\n".join([header] + rows) + "\n"
+
     def test_writer_memory_does_not_grow_with_rows(self, tmp_path):
         rng = np.random.default_rng(4)
         matrix = ConfidenceMatrix(rng.random((2000, 87)), tuple(f"s{i}" for i in range(2000)), "ecg")
