@@ -8,14 +8,16 @@ the modality tag and the class count. Floats are written as their ``repr``
 bit-exact. A score file is written in blocks of 16 rows, so a dump holds
 one block's text in memory, not the whole file. The two files of a dump
 are written at once, and the two files of a paired load are parsed at
-once: the ECG file in a forked child, the face file in this process, with
-the same bytes, arrays and errors as one after the other. A score file is
-parsed in blocks of about 1 MiB of text, so a load holds one block's text,
-not the whole file: each line is split once into id, label and confidence
-text, and ``np.loadtxt`` converts the block's confidences in one call. A
-block the bulk parse cannot take (a wrong field count, a repeated id, a
-number only ``float()`` reads, such as ``1_0``) is parsed again line by
-line, which names the first bad line. Each block's rows are checked as
+once, each in its own forked child, with the same bytes, arrays and
+errors as one after the other in this process. A score file is parsed in
+blocks of about 1 MiB of text, so a load holds one block's text, not the
+whole file: each line is split once into id, label and confidence text,
+and orjson reads the block's confidences as one JSON array of rows. A
+block orjson cannot read exactly (a byte outside its number syntax, a
+bare ``-0``, a token such as ``.5`` or ``1e400``) goes to ``np.loadtxt``,
+and a block that one cannot take either (a wrong field count, a repeated
+id, a number only ``float()`` reads, such as ``1_0``) is parsed again line
+by line, which names the first bad line. Each block's rows are checked as
 soon as it is parsed; only the label base waits for the last block.
 """
 
@@ -146,12 +148,17 @@ def _check_rows(p: Path, values: np.ndarray, labels, numbers, low: int, high: in
         raise ValidationError(f"{line_ref(p, numbers[k])}: " + next(text for mask, text in faults if mask[bad[0]]))
 
 
+_JSON_NUMBER_BYTES = b"0123456789.eE+-,"  # with the join's brackets, the bytes of a block of plain numbers
+_BARE_MINUS_ZERO = (b"[-0,", b",-0,", b",-0]", b"[-0]")  # orjson reads a bare -0 as the integer 0
+
+
 def _parse_block(p: Path, lines, numbers, ids: dict[str, None], m: int) -> tuple[list[int], np.ndarray]:
     """Parse one block of data rows in bulk, adding their ids to ``ids``.
 
-    Each line is split once into id, label and confidence text, and
-    ``np.loadtxt`` converts the block's confidences in one call. A block the
-    bulk parse cannot take goes to :func:`_parse_rows`.
+    Each line is split once into id, label and confidence text. orjson
+    reads the block's confidences as one array of rows when every token is
+    a JSON number it reads as ``np.loadtxt`` does; any other block goes to
+    ``np.loadtxt``, and a block the bulk parse cannot take to :func:`_parse_rows`.
     """
     fields = [line.split(",", 2) for line in lines]
     try:
@@ -160,7 +167,9 @@ def _parse_block(p: Path, lines, numbers, ids: dict[str, None], m: int) -> tuple
         tails = [f[2] for f in fields]
         # loadtxt would skip an empty tail ("a,0,") and warn if every tail were empty: go line by line
         if all(tails) and len(new) == len(fields) and ids.keys().isdisjoint(new):
-            values = np.loadtxt(tails, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+            values = _parse_json_rows(tails)
+            if values is None:
+                values = np.loadtxt(tails, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
             if values.shape == (len(fields), m):
                 ids.update(new)
                 return labels, values
@@ -168,6 +177,26 @@ def _parse_block(p: Path, lines, numbers, ids: dict[str, None], m: int) -> tuple
         pass
     # a short line, a bad number, a wrong column count or a repeated id: find it line by line
     return _parse_rows(p, lines, numbers, ids, m)
+
+
+def _parse_json_rows(tails: list[str]) -> np.ndarray | None:
+    """The confidence rows ``tails`` read by orjson, or None where its values could differ from ``np.loadtxt``'s.
+
+    Between the brackets of the join only digits, ``.eE+-`` and commas may appear, and no token may be
+    a bare ``-0``. Ragged rows raise ``ValueError``, as in ``np.loadtxt``.
+    """
+    import orjson  # on first use: a process that reads no score file, such as one fused decision, never loads it
+
+    data = ("[[" + "],[".join(tails) + "]]").encode()
+    if data.translate(None, _JSON_NUMBER_BYTES) != b"[[" + b"][" * (len(tails) - 1) + b"]]":
+        return None
+    try:
+        values = np.array(orjson.loads(data), dtype=np.float64)
+    except orjson.JSONDecodeError:  # .5, 1., +1, 01, 1e400 and the like: np.loadtxt reads them, or fails
+        return None
+    if not values.all() and any(token in data for token in _BARE_MINUS_ZERO):
+        return None
+    return values
 
 
 def _parse_rows(p: Path, lines, numbers, ids: dict[str, None], m: int) -> tuple[list[int], np.ndarray]:
@@ -226,10 +255,9 @@ def load_paired_dataset(face_path, ecg_path, normalize: bool = True) -> PairedDa
     file tagged ``ecg``, or an ECG file tagged ``face``, is rejected: the
     fused rule would silently swap sides. Any other tag is accepted.
     """
-    (face, y_face), (ecg, y_ecg) = _fork_pair(
-        lambda: load_score_matrix(face_path, normalize=normalize),
-        lambda: load_score_matrix(ecg_path, normalize=normalize),
-        f"{ecg_path}: reader",
+    (face, y_face), (ecg, y_ecg) = _fork_each(
+        (lambda: load_score_matrix(face_path, normalize=normalize), f"{face_path}: reader"),
+        (lambda: load_score_matrix(ecg_path, normalize=normalize), f"{ecg_path}: reader"),
     )
     for path, matrix, role, other in ((face_path, face, "face", "ecg"), (ecg_path, ecg, "ecg", "face")):
         if matrix.modality == other:
@@ -259,62 +287,83 @@ def dump_dataset_scores(dataset: PairedDataset, directory) -> tuple[Path, Path]:
     d.mkdir(parents=True, exist_ok=True)
     face_path = d / "face_scores.csv"
     ecg_path = d / "ecg_scores.csv"
-    _fork_pair(
-        lambda: write_score_matrix(dataset.face, dataset.labels, face_path),
-        lambda: write_score_matrix(dataset.ecg, dataset.labels, ecg_path),
-        f"{ecg_path}: writer",
+    import orjson  # noqa: F401  # here, not in each writer child: a process that dumps again and again imports it once
+
+    _fork_each(
+        (lambda: write_score_matrix(dataset.face, dataset.labels, face_path), f"{face_path}: writer"),
+        (lambda: write_score_matrix(dataset.ecg, dataset.labels, ecg_path), f"{ecg_path}: writer"),
     )
     return face_path, ecg_path
 
 
-def _fork_pair(here, there, child: str):
-    """Return ``(here(), there())``, running ``there`` in a forked child.
+def _fork_each(*jobs) -> list:
+    """Return ``[call() for call, name in jobs]``, running each call in its own forked child.
 
-    The parser and the writer hold the GIL, so a thread would not overlap
-    them. The child pickles its result, or its exception (as
+    The parsers and the writers hold the GIL, so threads would not overlap
+    them. Each child pickles its result, or its exception (as
     ``RuntimeError(str(exc))`` if it cannot be rebuilt), straight into a
     pipe, and this process unpickles it from there, holding its arrays once.
-    The child leaves by ``os._exit``: it runs no ``atexit`` handler and
-    flushes no inherited stdio buffer. An error of ``here`` wins; a child
-    that ends without a message raises ``OSError`` naming ``child``. Without
-    ``os.fork`` the two run in turn.
+    A child leaves by ``os._exit``: it runs no ``atexit`` handler and
+    flushes no inherited stdio buffer. The error of the first failed job in
+    argument order wins; a child that ends without a message raises
+    ``OSError`` naming its job's ``name``. If a later fork fails, every
+    child already started is read and reaped before the error propagates.
+    Without ``os.fork`` the calls run in turn.
     """
     if not hasattr(os, "fork"):
-        return here(), there()
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            try:
-                outcome = (True, there())
-            except BaseException as exc:
-                outcome = (False, exc)
-                try:
-                    pickle.loads(pickle.dumps(outcome))  # an exception that cannot be rebuilt there goes as its text
-                except BaseException:
-                    outcome = (False, RuntimeError(str(exc)))
-            with open(w, "wb") as f:
-                pickle.dump(outcome, f, protocol=5)  # an array goes as one raw buffer, which the parent wraps
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
+        return [call() for call, _ in jobs]
+    started: list[tuple[int, int]] = []  # (pid, read end) of each child so far
     try:
-        mine = here()
-    finally:
-        with open(r, "rb") as f:
+        for call, _ in jobs:
+            r, w = os.pipe()
             try:
-                outcome = pickle.load(f)
-            except (EOFError, pickle.UnpicklingError):  # the child ended before it wrote it all
-                outcome = None
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if outcome is None:
-        raise OSError(f"{child} process ended with status {code}")
-    if not outcome[0]:
-        raise outcome[1]
-    return mine, outcome[1]
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _run_child(call, w, [r] + [fd for _, fd in started])
+            os.close(w)
+            started.append((pid, r))
+    finally:
+        outcomes = []
+        for pid, r in started:
+            with open(r, "rb") as f:
+                try:
+                    outcome = pickle.load(f)
+                except (EOFError, pickle.UnpicklingError):  # the child ended before it wrote it all
+                    outcome = None
+            outcomes.append((os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), outcome))
+    results = []
+    for (code, outcome), (_, name) in zip(outcomes, jobs):
+        if outcome is None:
+            raise OSError(f"{name} process ended with status {code}")
+        if not outcome[0]:
+            raise outcome[1]
+        results.append(outcome[1])
+    return results
+
+
+def _run_child(call, w: int, inherited: list[int]):
+    """In a forked child: close the read ends it inherited, send ``call()``'s outcome down ``w``, and exit."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            outcome = (True, call())
+        except BaseException as exc:
+            outcome = (False, exc)
+            try:
+                pickle.loads(pickle.dumps(outcome))  # an exception that cannot be rebuilt there goes as its text
+            except BaseException:
+                outcome = (False, RuntimeError(str(exc)))
+        with open(w, "wb") as f:
+            pickle.dump(outcome, f, protocol=5)  # an array goes as one raw buffer, which the parent wraps
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # -- experiment reports -------------------------------------------------

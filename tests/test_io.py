@@ -1,5 +1,6 @@
 """Score CSVs, report serialization, config files, and model persistence."""
 
+import errno
 import os
 import re
 import subprocess
@@ -314,7 +315,7 @@ class TestScoreFiles:
 
 
 class TestForkedDump:
-    """``dump_dataset_scores`` writes the ECG file in a forked child."""
+    """``dump_dataset_scores`` writes each file in its own forked child."""
 
     def test_ecg_error_is_the_direct_writers_and_face_file_is_whole(self, tmp_path):
         ds = _desk_dataset()
@@ -370,7 +371,7 @@ class TestForkedDump:
 
 
 class TestForkedLoad:
-    """``load_paired_dataset`` parses the ECG file in a forked child."""
+    """``load_paired_dataset`` parses each file in its own forked child."""
 
     def _files(self, tmp_path):
         return dump_dataset_scores(_desk_dataset(), tmp_path / "scores")
@@ -380,12 +381,64 @@ class TestForkedLoad:
         values = np.random.default_rng(0).random((8700, 87))
         tracemalloc.start()  # numpy reports its buffers to tracemalloc
         try:
-            _, got = idfusion_io._fork_pair(lambda: None, values.copy, "matrix")
+            got = idfusion_io._fork_each((values.copy, "face"), (values.copy, "ecg"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert got.tobytes() == values.tobytes()
-        assert peak < 1.5 * values.nbytes
+        assert [a.tobytes() for a in got] == [values.tobytes()] * 2
+        assert peak < values.nbytes + 1.5 * values.nbytes  # the first matrix, then the second as before
+
+    def test_failed_later_fork_reaps_the_children_already_started(self, monkeypatch):
+        # the first child's matrix is larger than a pipe's buffer: unread, it would block forever
+        values = np.random.default_rng(0).random((1000, 87))
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(None)
+            if len(forks) > 1:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real_fork()
+
+        open_fds = len(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(OSError) as raised:
+            idfusion_io._fork_each((values.copy, "first"), (values.copy, "second"))
+        assert raised.value.errno == errno.EAGAIN
+        with pytest.raises(ChildProcessError):  # no child is left, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+
+    def test_main_process_never_parses_with_orjson(self, tmp_path, monkeypatch):
+        # orjson reserves a fixed buffer on its first parse, which would stay in this process's heap
+        import orjson
+
+        params = GeneratorParams(num_classes=40, samples_per_class=30, noise_sigma_clean=0.3)
+        face, ecg = dump_dataset_scores(generate_dataset(params, params, DegradationScenario.clean(), 4), tmp_path)
+        log, real = tmp_path / "pids.txt", orjson.loads
+
+        def loads(data):
+            with open(log, "a") as f:  # a file, not a list: each child's memory is its own
+                f.write(f"{os.getpid()}\n")
+            return real(data)
+
+        monkeypatch.setattr(orjson, "loads", loads)
+        forked = load_paired_dataset(face, ecg)
+        pids = set(log.read_text().split())
+        assert pids and str(os.getpid()) not in pids
+        log.unlink()
+        monkeypatch.delattr(os, "fork")
+        in_turn = load_paired_dataset(face, ecg)
+        assert set(log.read_text().split()) == {str(os.getpid())}  # the fast path ran here
+        for a, b in ((forked.face, in_turn.face), (forked.ecg, in_turn.ecg)):
+            assert a.values.tobytes() == b.values.tobytes() and a.sample_ids == b.sample_ids
+        assert forked.labels.tobytes() == in_turn.labels.tobytes()
+
+    def test_signal_reader_never_parses_with_orjson(self, monkeypatch):
+        import orjson
+
+        monkeypatch.setattr(orjson, "loads", mock.Mock(side_effect=AssertionError("orjson.loads called")))
+        for name in ("ecg_recording.txt", "ecg_recording.csv"):
+            assert read_signal(Path(__file__).parent / "data" / name).samples.size
 
     def test_ecg_error_is_the_direct_loaders(self, tmp_path):
         face, ecg = self._files(tmp_path)
@@ -742,6 +795,100 @@ def _check_loader_matches_plain_reader(lines):
         assert matrix.values.tobytes() == as_confidence_vector(raw, ndim=2, normalize=True).tobytes()
         if raw.max() <= 1.0:
             assert load_score_matrix(path, normalize=False)[0].values.tobytes() == raw.tobytes()
+
+
+_SUBNORMAL_MAX = 2.2250738585072014e-308
+
+
+@st.composite
+def _json_number(draw):
+    """A JSON number token with 1 to 40 significant digits, written plainly or with an exponent
+    from -330 to 310; or a subnormal's repr, a zero of either sign, or a float64 range edge."""
+    sign = draw(st.sampled_from(["", "-"]))
+    digits = draw(st.sampled_from("123456789")) + draw(st.text("0123456789", max_size=39))
+    layout = draw(st.sampled_from(["exponent", "point", "fraction", "special"]))
+    if layout == "exponent":
+        exp = draw(st.integers(-330, 310))
+        mark = draw(st.sampled_from(["e", "E"])) + ("" if exp < 0 else draw(st.sampled_from(["", "+"])))
+        return f"{sign}{digits[0]}{'.' + digits[1:] if digits[1:] else ''}{mark}{exp}"
+    if layout == "point":
+        k = draw(st.integers(1, len(digits)))
+        return f"{sign}{digits[:k]}.{digits[k:]}" if digits[k:] else f"{sign}{digits}"
+    if layout == "fraction":
+        return f"{sign}0.{'0' * draw(st.integers(0, 20))}{digits}"
+    return draw(
+        st.floats(-_SUBNORMAL_MAX, _SUBNORMAL_MAX).map(repr)
+        | st.sampled_from([
+            "0", "-0", "0.0", "-0.0", "0e0", "-0e-5", "-0.000",
+            "1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308",
+            "2.4703282292062327e-324", "2.4703282292062328e-324", "4.9406564584124654e-324",
+        ])
+    )
+
+
+@given(st.integers(1, 6).flatmap(lambda m: st.lists(st.lists(_json_number(), min_size=m, max_size=m),
+                                                    min_size=1, max_size=6)))
+@settings(max_examples=200, deadline=None)
+def test_json_rows_match_loadtxt_bit_for_bit(rows):
+    tails = [",".join(row) for row in rows]
+    want = np.loadtxt(tails, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    got = idfusion_io._parse_json_rows(tails)
+    if got is None:  # only a bare -0 or a value past float64's range go the slow way
+        assert "-0" in sum(rows, []) or not np.isfinite(want).all()
+    else:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _bulk_parse(tails):
+    """The confidences ``io._parse_block`` reads from one two-column data line per tail."""
+    lines = [f"s{i},0,{tail}" for i, tail in enumerate(tails)]
+    return idfusion_io._parse_block(Path("face.csv"), lines, range(2, 2 + len(lines)), {}, 2)[1]
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["9007199254740993", "9223372036854775808", "-9223372036854775808", "18446744073709551615",
+     "18446744073709551617", "1e+16", "1E5", "1.2e-05"],
+)
+def test_json_rows_read_these_tokens_as_loadtxt(token):
+    # 2**53 + 1, +-2**63 and 2**64 -+ 1 as integer tokens, and the exponent layouts repr and other writers use
+    tails = [f"{token},0.5", f"0.25,{token}"]
+    got = idfusion_io._parse_json_rows(tails)
+    assert got is not None
+    assert got.tobytes() == np.loadtxt(tails, dtype=np.float64, delimiter=",", ndmin=2).tobytes()
+    assert _bulk_parse(tails).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "1e400", ".5", "1.", "+1", "01", "1_0"])
+def test_tokens_orjson_rejects_take_the_old_path(token):
+    tails = [f"{token},0.5", f"0.25,{token}"]
+    assert idfusion_io._parse_json_rows(tails) is None
+    want = np.array([[float(x) for x in tail.split(",")] for tail in tails])  # float() reads all eight
+    got = _bulk_parse(tails)
+    np.testing.assert_array_equal(got, want)
+    assert np.signbit(got).tolist() == np.signbit(want).tolist()
+
+
+@pytest.mark.parametrize(
+    "tails",
+    [["0.5,0.25", "[0.5,0.25]"], ["[0.5,0.25", "0.5,0.25]"], ["0.5],[0.25,0.75"], ["true,0.5"], ["null,0.5"],
+     ['"0.5",0.25'], ["0.5,0.25", "[[0.5,0.25]]"]],
+    ids=["brackets-around-a-row", "unbalanced-brackets", "row-boundary", "true", "null", "quotes", "nested"],
+)
+def test_injected_json_takes_the_old_path(tails):
+    assert idfusion_io._parse_json_rows(tails) is None
+    lines = ["sample_id,true_label,face_0,face_1"] + [f"s{i},{i % 2},{tail}" for i, tail in enumerate(tails)]
+    _check_loader_matches_plain_reader(lines)
+
+
+def test_bare_minus_zero_keeps_its_sign_without_normalization(tmp_path):
+    # orjson reads a bare -0 as the integer 0; the sign must reach the matrix, as from float("-0")
+    face = _write(tmp_path / "face.csv", ["sample_id,true_label,face_0,face_1", "a,0,-0,1", "b,1,1,-0"])
+    ecg = _write(tmp_path / "ecg.csv", ["sample_id,true_label,ecg_0,ecg_1", "a,0,-0,1", "b,1,1,-0.0"])
+    want = [[True, False], [False, True]]
+    assert np.signbit(load_score_matrix(face, normalize=False)[0].values).tolist() == want
+    paired = load_paired_dataset(face, ecg, normalize=False)
+    assert np.signbit(paired.face.values).tolist() == np.signbit(paired.ecg.values).tolist() == want
 
 
 _TEXT_LINE = (
