@@ -89,7 +89,8 @@ def repr_rows(block) -> list[str]:
     orjson writes the shortest round-trip digits of a float, as ``repr`` does, in C; only its
     layout of a magnitude below ``1e-4`` or from ``1e16`` on differs (``0.00001`` for ``1e-05``,
     ``1e16`` for ``1e+16``), and it writes a NaN or infinity as ``null``. A row holding such a
-    value is formatted with ``repr`` instead.
+    value is formatted with ``repr`` instead. orjson is imported on first use; ``io.dump_dataset_scores``
+    imports it before it forks its two writers, so that its children do not each import it anew.
     """
     import orjson  # on first use: a process that writes no text, such as one fused decision, never loads it
 

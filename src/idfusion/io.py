@@ -149,7 +149,6 @@ def _check_rows(p: Path, values: np.ndarray, labels, numbers, low: int, high: in
 
 
 _JSON_NUMBER_BYTES = b"0123456789.eE+-,"  # with the join's brackets, the bytes of a block of plain numbers
-_BARE_MINUS_ZERO = (b"[-0,", b",-0,", b",-0]", b"[-0]")  # orjson reads a bare -0 as the integer 0
 
 
 def _parse_block(p: Path, lines, numbers, ids: dict[str, None], m: int) -> tuple[list[int], np.ndarray]:
@@ -190,13 +189,15 @@ def _parse_json_rows(tails: list[str]) -> np.ndarray | None:
     data = ("[[" + "],[".join(tails) + "]]").encode()
     if data.translate(None, _JSON_NUMBER_BYTES) != b"[[" + b"][" * (len(tails) - 1) + b"]]":
         return None
+    b = np.frombuffer(data, np.uint8)
+    minus, zero, comma, close = b"-0,]"
+    # scanned in every block: each row of a normalized export holds a 0.0, so testing for a zero first skips nothing
+    if ((b[:-2] == minus) & (b[1:-1] == zero) & ((b[2:] == comma) | (b[2:] == close))).any():
+        return None  # a bare -0, which orjson reads as the integer 0 (an e-0 exponent also lands here: same values)
     try:
-        values = np.array(orjson.loads(data), dtype=np.float64)
+        return np.array(orjson.loads(data), dtype=np.float64)
     except orjson.JSONDecodeError:  # .5, 1., +1, 01, 1e400 and the like: np.loadtxt reads them, or fails
         return None
-    if not values.all() and any(token in data for token in _BARE_MINUS_ZERO):
-        return None
-    return values
 
 
 def _parse_rows(p: Path, lines, numbers, ids: dict[str, None], m: int) -> tuple[list[int], np.ndarray]:
@@ -287,7 +288,8 @@ def dump_dataset_scores(dataset: PairedDataset, directory) -> tuple[Path, Path]:
     d.mkdir(parents=True, exist_ok=True)
     face_path = d / "face_scores.csv"
     ecg_path = d / "ecg_scores.csv"
-    import orjson  # noqa: F401  # here, not in each writer child: a process that dumps again and again imports it once
+    # core.repr_rows's orjson, imported here, not in each writer child: a process that dumps again and again pays once
+    import orjson  # noqa: F401
 
     _fork_each(
         (lambda: write_score_matrix(dataset.face, dataset.labels, face_path), f"{face_path}: writer"),

@@ -859,11 +859,12 @@ def test_json_rows_read_these_tokens_as_loadtxt(token):
     assert _bulk_parse(tails).tobytes() == got.tobytes()
 
 
-@pytest.mark.parametrize("token", ["nan", "inf", "1e400", ".5", "1.", "+1", "01", "1_0"])
-def test_tokens_orjson_rejects_take_the_old_path(token):
-    tails = [f"{token},0.5", f"0.25,{token}"]
+# the tokens orjson rejects, then a bare -0 and an e-0 exponent, which the -0 scan turns away
+@pytest.mark.parametrize("token", ["nan", "inf", "1e400", ".5", "1.", "+1", "01", "1_0", "-0", "1e-0", "2E-0"])
+def test_tokens_that_take_the_old_path(token):
+    tails = [f"{token},0.5", f"0.25,{token}"]  # the token before a comma, then before the join's bracket
     assert idfusion_io._parse_json_rows(tails) is None
-    want = np.array([[float(x) for x in tail.split(",")] for tail in tails])  # float() reads all eight
+    want = np.array([[float(x) for x in tail.split(",")] for tail in tails])  # float() reads them all
     got = _bulk_parse(tails)
     np.testing.assert_array_equal(got, want)
     assert np.signbit(got).tolist() == np.signbit(want).tolist()
