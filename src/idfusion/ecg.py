@@ -212,12 +212,16 @@ def read_signal(path, sample_rate: float | None = None) -> EcgSignal:
     if not numbers:
         raise ValidationError(f"signal file {p} is empty")
     if csv and sample_rate is None:
-        dt = np.diff(np.asarray(times))
-        back = np.nonzero(dt <= 0)[0]
-        if dt.size == 0 or back.size:
-            at = line_ref(p, numbers[int(back[0]) + 1]) if back.size else str(p)
-            raise ValidationError(f"{at}: time column must be strictly increasing")
-        sample_rate = float(1.0 / np.median(dt))
+        with np.errstate(over="ignore", invalid="ignore"):  # a step past float64 or too small to invert: rejected below
+            dt = np.diff(np.asarray(times))
+            back = np.nonzero(dt <= 0)[0]
+            if dt.size == 0 or back.size:
+                at = line_ref(p, numbers[int(back[0]) + 1]) if back.size else str(p)
+                raise ValidationError(f"{at}: time column must be strictly increasing")
+            step = float(np.median(dt))
+            sample_rate = 1.0 / step
+        if not 0.0 < sample_rate < np.inf:  # also false for NaN
+            raise ValidationError(f"{p}: the time column's median step of {step!r} s gives no finite positive rate")
     return EcgSignal(
         samples=np.asarray(values),
         sample_rate=DEFAULT_SAMPLE_RATE if sample_rate is None else sample_rate,

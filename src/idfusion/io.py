@@ -12,13 +12,13 @@ once, each in its own forked child, with the same bytes, arrays and
 errors as one after the other in this process. A score file is parsed in
 blocks of about 1 MiB of text, so a load holds one block's text, not the
 whole file: each line is split once into id, label and confidence text,
-and orjson reads the block's confidences as one JSON array of rows. A
-block orjson cannot read exactly (a byte outside its number syntax, a
-bare ``-0``, a token such as ``.5`` or ``1e400``) goes to ``np.loadtxt``,
-and a block that one cannot take either (a wrong field count, a repeated
-id, a number only ``float()`` reads, such as ``1_0``) is parsed again line
-by line, which names the first bad line. Each block's rows are checked as
-soon as it is parsed; only the label base waits for the last block.
+and orjson reads the block's confidences, spaces and tabs included, as
+one JSON array of rows. A block that orjson cannot read exactly (a byte
+outside its number syntax, a bare ``-0``, a token such as ``.5``, ``1_0``
+or ``1e400``), or that holds a wrong field count or a repeated id, is
+parsed again line by line with ``float()``, which names the first bad
+line. Each block's rows are checked as soon as it is parsed; only the
+label base waits for the last block.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def _check_rows(p: Path, values: np.ndarray, labels, numbers, low: int, high: in
         raise ValidationError(f"{line_ref(p, numbers[k])}: " + next(text for mask, text in faults if mask[bad[0]]))
 
 
-_JSON_NUMBER_BYTES = b"0123456789.eE+-,"  # with the join's brackets, the bytes of a block of plain numbers
+_JSON_NUMBER_BYTES = b"0123456789.eE+-, \t"  # with the join's brackets, the bytes of plain numbers and their spacing
 
 
 def _parse_block(p: Path, lines, numbers, ids: dict[str, None], m: int) -> tuple[list[int], np.ndarray]:
@@ -156,20 +156,15 @@ def _parse_block(p: Path, lines, numbers, ids: dict[str, None], m: int) -> tuple
 
     Each line is split once into id, label and confidence text. orjson
     reads the block's confidences as one array of rows when every token is
-    a JSON number it reads as ``np.loadtxt`` does; any other block goes to
-    ``np.loadtxt``, and a block the bulk parse cannot take to :func:`_parse_rows`.
+    a JSON number it reads as ``float()`` does; any other block goes to :func:`_parse_rows`.
     """
     fields = [line.split(",", 2) for line in lines]
     try:
         new = dict.fromkeys(f[0].strip() for f in fields)
         labels = [int(f[1]) for f in fields]
-        tails = [f[2] for f in fields]
-        # loadtxt would skip an empty tail ("a,0,") and warn if every tail were empty: go line by line
-        if all(tails) and len(new) == len(fields) and ids.keys().isdisjoint(new):
-            values = _parse_json_rows(tails)
-            if values is None:
-                values = np.loadtxt(tails, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-            if values.shape == (len(fields), m):
+        if len(new) == len(fields) and ids.keys().isdisjoint(new):
+            values = _parse_json_rows([f[2] for f in fields])
+            if values is not None and values.shape == (len(fields), m):
                 ids.update(new)
                 return labels, values
     except (IndexError, ValueError):
@@ -179,10 +174,10 @@ def _parse_block(p: Path, lines, numbers, ids: dict[str, None], m: int) -> tuple
 
 
 def _parse_json_rows(tails: list[str]) -> np.ndarray | None:
-    """The confidence rows ``tails`` read by orjson, or None where its values could differ from ``np.loadtxt``'s.
+    """The confidence rows ``tails`` read by orjson, or None where its values could differ from ``float()``'s.
 
-    Between the brackets of the join only digits, ``.eE+-`` and commas may appear, and no token may be
-    a bare ``-0``. Ragged rows raise ``ValueError``, as in ``np.loadtxt``.
+    Between the brackets of the join only digits, ``.eE+-``, commas, spaces and tabs may appear, and no
+    token may be a bare ``-0``. Ragged rows, such as an empty tail among full ones, raise ``ValueError``.
     """
     import orjson  # on first use: a process that reads no score file, such as one fused decision, never loads it
 
@@ -191,20 +186,21 @@ def _parse_json_rows(tails: list[str]) -> np.ndarray | None:
         return None
     b = np.frombuffer(data, np.uint8)
     minus, zero, comma, close = b"-0,]"
+    after = b[2:]  # the admitted bytes <= "," are tab, space, "+" and ",": each ends a -0, or orjson rejects it
     # scanned in every block: each row of a normalized export holds a 0.0, so testing for a zero first skips nothing
-    if ((b[:-2] == minus) & (b[1:-1] == zero) & ((b[2:] == comma) | (b[2:] == close))).any():
+    if ((b[:-2] == minus) & (b[1:-1] == zero) & ((after <= comma) | (after == close))).any():
         return None  # a bare -0, which orjson reads as the integer 0 (an e-0 exponent also lands here: same values)
     try:
         return np.array(orjson.loads(data), dtype=np.float64)
-    except orjson.JSONDecodeError:  # .5, 1., +1, 01, 1e400 and the like: np.loadtxt reads them, or fails
+    except orjson.JSONDecodeError:  # .5, 1., +1, 01, 1e400 and the like: float() reads them, or fails
         return None
 
 
 def _parse_rows(p: Path, lines, numbers, ids: dict[str, None], m: int) -> tuple[list[int], np.ndarray]:
     """Parse a block's rows one by one, naming the line of the first bad one.
 
-    The fallback of :func:`_parse_block`: it also accepts the numbers
-    ``float()`` reads and ``np.loadtxt`` does not, such as ``1_0``.
+    The fallback of :func:`_parse_block`: it reads the numbers orjson
+    does not, such as ``.5``, ``1_0`` or a bare ``-0``, with ``float()``.
     """
     labels: list[int] = []
     rows: list[list[float]] = []
@@ -236,10 +232,13 @@ def write_score_matrix(matrix: ConfidenceMatrix, labels, path) -> None:
     y = np.asarray(labels, dtype=np.int64)
     if y.size != matrix.num_samples:
         raise ValidationError(f"{y.size} labels for {matrix.num_samples} rows")
+    ids, y = matrix.sample_ids, y.tolist()
+    for sid in ids:  # the reader ends a line at \n or \r, a field at a comma, and strips each id
+        if "," in sid or "\n" in sid or "\r" in sid or sid != sid.strip():
+            raise ValidationError(f"sample id {sid!r} would not read back from a score file")
     header = ["sample_id", "true_label"] + [
         f"{matrix.modality}_{j}" for j in range(matrix.num_classes)
     ]
-    ids, y = matrix.sample_ids, y.tolist()
     with open(path, "w") as f:  # the encoding and newlines of Path.write_text
         f.write(",".join(header) + "\n")
         for i in range(0, len(ids), _WRITE_BLOCK_ROWS):

@@ -173,19 +173,6 @@ class TestEvaluate:
         ok.write_text("sample_id,true_label,ecg_0,ecg_1\na,0,0.5,0.5\n")
         assert run_cli("evaluate", "--face", str(bad), "--ecg", str(ok)) == EXIT_DATA
 
-    def test_span_overflow_row_is_data_error(self, tmp_path, capsys):
-        # finite entries whose max - min overflows: one line naming the row, not NaN scores
-        data = Path(__file__).parent / "data"
-        face = tmp_path / "face.csv"
-        lines = (data / "face_raw.csv").read_text().splitlines()
-        lines[1] = "s00,1,-1e308,1e308,0,0,0,0"
-        face.write_text("\n".join(lines) + "\n")
-        code = run_cli("evaluate", "--face", str(face), "--ecg", str(data / "ecg_raw.csv"), "--folds", "5")
-        assert code == EXIT_DATA
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: invalid data: {face}:2: score row span overflows float64; it cannot be normalized\n"
-
     def test_config_boolean_matches_flag(self, tmp_path):
         data = Path(__file__).parent / "data"
         args = ["evaluate", "--face", str(data / "face_unit.csv"), "--ecg", str(data / "ecg_unit.csv"),
@@ -327,20 +314,6 @@ class TestFuse:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"error: invalid data: {model_path}: not a fusion model file: maximum recursion depth")
-
-    def test_model_with_ecg_on_the_face_side_is_data_error(self, tmp_path, capsys):
-        doc = json.loads((Path(__file__).parent / "data" / "model.json").read_text())
-        doc["modality_order"] = ["ecg", "face"]
-        model_path = tmp_path / "m.json"
-        model_path.write_text(json.dumps(doc))
-        code = run_cli(
-            "fuse", "--model", str(model_path),
-            "--face", "0.1,0.9,0.3,0.2,0.4,0.5", "--ecg", "0.2,0.3,0.8,0.1,0.0,0.6",
-        )
-        assert code == EXIT_DATA
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.count("\n") == 1
-        assert captured.err.startswith(f"error: invalid data: {model_path}: ")
 
 
 class TestPrepEcg:
@@ -654,6 +627,15 @@ _CASES = [
     pytest.param(["prep-ecg", *_RECORDING, "--rate", "1e308"], {},
                  EXIT_DATA, "invalid data: gate duration of 4.0 s at 1e+308 Hz overflows the sample count",
                  id="rate-overflows-sample-count"),
+    # a rate inferred from a CSV time column: a step too small to invert, a span past float64
+    pytest.param(["prep-ecg", "--in", "{tmp}/tiny.csv", "--out", "{tmp}/window.txt"],
+                 {"tiny.csv": "0,0.1\n5e-324,0.5\n1e-323,0.2\n"},
+                 EXIT_DATA, "invalid data: {tmp}/tiny.csv: the time column's median step of 5e-324 s "
+                            "gives no finite positive rate", id="inferred-rate-overflows"),
+    pytest.param(["prep-ecg", "--in", "{tmp}/wide.csv", "--out", "{tmp}/window.txt"],
+                 {"wide.csv": "-1.7e308,0.1\n1.7e308,0.5\n"},
+                 EXIT_DATA, "invalid data: {tmp}/wide.csv: the time column's median step of inf s "
+                            "gives no finite positive rate", id="time-span-overflows"),
     pytest.param(["prep-ecg", "--in", "{tmp}/late.txt", "--out", "{tmp}/window.txt"],
                  {"late.txt": "\n".join([*_SIGNAL[:2], "# lead I", *_SIGNAL[2:-3], "0.2.1", *_SIGNAL[-2:]]) + "\n"},
                  EXIT_DATA, "invalid data: {tmp}/late.txt:1023: non-numeric line in signal file",

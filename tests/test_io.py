@@ -826,15 +826,20 @@ def _json_number(draw):
     )
 
 
-@given(st.integers(1, 6).flatmap(lambda m: st.lists(st.lists(_json_number(), min_size=m, max_size=m),
-                                                    min_size=1, max_size=6)))
+_PAD = st.sampled_from(["", "", " ", "\t", "  ", " \t"])  # the spaces and tabs a separator may hold
+
+
+@given(st.integers(1, 6).flatmap(lambda m: st.lists(st.lists(st.tuples(_PAD, _json_number(), _PAD),
+                                                             min_size=m, max_size=m), min_size=1, max_size=6)))
 @settings(max_examples=200, deadline=None)
 def test_json_rows_match_loadtxt_bit_for_bit(rows):
-    tails = [",".join(row) for row in rows]
+    tails = [",".join("".join(padded) for padded in row) for row in rows]
+    tokens = [[token for _, token, _ in row] for row in rows]
     want = np.loadtxt(tails, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+    assert np.array([[float(t) for t in row] for row in tokens]).tobytes() == want.tobytes()
     got = idfusion_io._parse_json_rows(tails)
     if got is None:  # only a bare -0 or a value past float64's range go the slow way
-        assert "-0" in sum(rows, []) or not np.isfinite(want).all()
+        assert "-0" in sum(tokens, []) or not np.isfinite(want).all()
     else:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -859,8 +864,11 @@ def test_json_rows_read_these_tokens_as_loadtxt(token):
     assert _bulk_parse(tails).tobytes() == got.tobytes()
 
 
-# the tokens orjson rejects, then a bare -0 and an e-0 exponent, which the -0 scan turns away
-@pytest.mark.parametrize("token", ["nan", "inf", "1e400", ".5", "1.", "+1", "01", "1_0", "-0", "1e-0", "2E-0"])
+# the tokens orjson rejects, then a bare -0 and an e-0 exponent, which the -0 scan turns away, also before a space or tab
+@pytest.mark.parametrize(
+    "token",
+    ["nan", "inf", "1e400", ".5", "1.", "+1", "01", "1_0", "-0", "1e-0", "2E-0", "-0 ", "-0\t", "1e-0 "],
+)
 def test_tokens_that_take_the_old_path(token):
     tails = [f"{token},0.5", f"0.25,{token}"]  # the token before a comma, then before the join's bracket
     assert idfusion_io._parse_json_rows(tails) is None
@@ -883,10 +891,11 @@ def test_injected_json_takes_the_old_path(tails):
 
 
 def test_bare_minus_zero_keeps_its_sign_without_normalization(tmp_path):
-    # orjson reads a bare -0 as the integer 0; the sign must reach the matrix, as from float("-0")
-    face = _write(tmp_path / "face.csv", ["sample_id,true_label,face_0,face_1", "a,0,-0,1", "b,1,1,-0"])
-    ecg = _write(tmp_path / "ecg.csv", ["sample_id,true_label,ecg_0,ecg_1", "a,0,-0,1", "b,1,1,-0.0"])
-    want = [[True, False], [False, True]]
+    # orjson reads a bare -0 as the integer 0; the sign must reach the matrix, as from float("-0").
+    # The ECG file's only bare -0s end in a space or a tab, so no -0 before a comma turns its block away
+    face = _write(tmp_path / "face.csv", ["sample_id,true_label,face_0,face_1", "a,0,-0,1", "b,1,1,-0", "c,0, -0 ,1"])
+    ecg = _write(tmp_path / "ecg.csv", ["sample_id,true_label,ecg_0,ecg_1", "a,0, -0 ,1", "b,1,1,-0.0", "c,0,-0\t,1"])
+    want = [[True, False], [False, True], [True, False]]
     assert np.signbit(load_score_matrix(face, normalize=False)[0].values).tolist() == want
     paired = load_paired_dataset(face, ecg, normalize=False)
     assert np.signbit(paired.face.values).tolist() == np.signbit(paired.ecg.values).tolist() == want
@@ -1050,4 +1059,14 @@ def test_writer_checks_the_label_count(tmp_path):
     with pytest.raises(ValidationError) as exc:
         write_score_matrix(matrix, [0, 1], tmp_path / "face.csv")
     assert str(exc.value) == "2 labels for 3 rows"
+    assert not (tmp_path / "face.csv").exists()
+
+
+@pytest.mark.parametrize("sid", [" a", "a,1", "a\rb"], ids=["surrounding-space", "comma", "carriage-return"])
+def test_writer_rejects_an_id_that_would_not_read_back(tmp_path, sid):
+    # " a" would read back as "a"; "a,1" and "a\rb" would fail the load on a field count
+    matrix = ConfidenceMatrix(np.eye(2), ("b", sid), "face")
+    with pytest.raises(ValidationError) as exc:
+        write_score_matrix(matrix, [0, 1], tmp_path / "face.csv")
+    assert str(exc.value) == f"sample id {sid!r} would not read back from a score file"
     assert not (tmp_path / "face.csv").exists()
