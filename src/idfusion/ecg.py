@@ -209,6 +209,8 @@ def read_signal(path, sample_rate: float | None = None) -> EcgSignal:
                 values.append(float(parts[1]))
             except ValueError as exc:
                 raise ValidationError(f"{line_ref(p, n)}: non-numeric field") from exc
+            if not -np.inf < times[-1] < np.inf:  # also false for NaN, which the increasing check below lets pass
+                raise ValidationError(f"{line_ref(p, n)}: non-finite time {parts[0]!r}")
     if not numbers:
         raise ValidationError(f"signal file {p} is empty")
     if csv and sample_rate is None:

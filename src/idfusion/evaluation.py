@@ -4,8 +4,10 @@ One stratified fold assignment is shared by both modalities, so fold i's
 face model and fold i's ECG model are trained and tested on the same
 physical samples and their results can be fused directly. Each fold
 trains the subject scores and baseline weights on its training portion
-only, then reports test accuracy for face, ECG, the proposed fusion, and
-the weighted-sum baseline.
+only, then decides its test samples. k-fold tests every sample once, so
+a run's one output is a decision per sample for each of face, ECG, the
+proposed fusion and the weighted-sum baseline; every fold accuracy and
+the summary are read from those four vectors.
 """
 
 from __future__ import annotations
@@ -141,25 +143,17 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """A k-fold run: its settings, fold rows and summary, all read from ``decisions``.
+
+    ``decisions`` maps ``face``, ``ecg``, ``fused`` and ``weighted_sum`` to each
+    sample's out-of-fold decision, as read-only int64 vectors in sample order.
+    They are left out of equality, the repr and both report formats.
+    """
+
     config: RunConfig
     folds: tuple[FoldResult, ...]
     summary: ReportSummary
-
-    @classmethod
-    def build(cls, config: RunConfig, folds: tuple[FoldResult, ...]) -> "ExperimentReport":
-        """Assemble a report, computing the aggregate row from the fold rows."""
-
-        def agg(name: str) -> MeanStd:
-            vals = np.array([getattr(f, name) for f in folds], dtype=np.float64)
-            return MeanStd(mean=float(vals.mean()), std=float(vals.std(ddof=1)))
-
-        summary = ReportSummary(
-            face=agg("acc_face"),
-            ecg=agg("acc_ecg"),
-            fused=agg("acc_fused"),
-            weighted_sum=agg("acc_weighted_sum"),
-        )
-        return cls(config=config, folds=tuple(folds), summary=summary)
+    decisions: dict[str, np.ndarray] = field(repr=False, compare=False)
 
 
 def accuracy(predictions, labels) -> float:
@@ -188,36 +182,6 @@ def _fit(face, ecg, y_train, ranks_train, cfg: EvalConfig) -> FusionModel:
     )
 
 
-def _fold(face, ecg, y, ranks, assignment, fold_id: int, cfg: EvalConfig) -> FoldResult:
-    """One fold from the experiment-wide ranks; its training rows keep the order the clamp needs."""
-    train_idx = assignment.train_indices(fold_id)
-    test_idx = assignment.test_indices(fold_id)
-    (_, face_top), (_, ecg_top) = ranks
-
-    y_train = y[train_idx]
-    ranks_train = [(gaps[train_idx], top[train_idx]) for gaps, top in ranks]
-    model = _fit(face, ecg, y_train, ranks_train, cfg)
-    weights = compute_baseline_weights(
-        accuracy(face_top[train_idx], y_train), accuracy(ecg_top[train_idx], y_train)
-    )
-
-    face_test = face.values[test_idx]
-    ecg_test = ecg.values[test_idx]
-    y_test = y[test_idx]
-
-    pred_fused = predict_fused_batch(face_test, ecg_test, model)
-    return FoldResult(
-        fold_id=fold_id,
-        acc_face=accuracy(face_top[test_idx], y_test),
-        acc_ecg=accuracy(ecg_top[test_idx], y_test),
-        acc_fused=accuracy(pred_fused, y_test),
-        acc_weighted_sum=accuracy(
-            predict_weighted_sum_batch(face_test, ecg_test, weights), y_test
-        ),
-        error_count_fused=int(np.sum(pred_fused != y_test)),
-    )
-
-
 def train_fusion_model(
     face: ConfidenceMatrix,
     ecg: ConfidenceMatrix,
@@ -237,14 +201,42 @@ def run_experiment(
 ) -> ExperimentReport:
     """Full k-fold experiment over a paired dataset.
 
-    Every sample is ranked once per modality; each fold then only runs the
-    order-dependent clamp on its training rows and scores its test rows.
+    Every sample is ranked once per modality, which gives the face and ECG
+    decisions; each fold then only runs the order-dependent clamp on its
+    training rows and decides its test rows. Every fold row and the summary
+    are read from the four out-of-fold decision vectors.
     """
     assignment = make_folds(dataset.labels, k=k, seed=seed)
     face, ecg, y = dataset.face, dataset.ecg, dataset.labels
     ranks = _ranked(dataset, cfg)
-    folds = tuple(_fold(face, ecg, y, ranks, assignment, fold_id, cfg) for fold_id in range(k))
+    (_, face_top), (_, ecg_top) = ranks
+    tests = [assignment.test_indices(fold_id) for fold_id in range(k)]
+    fused, weighted_sum = np.empty_like(y), np.empty_like(y)
+    for fold_id, test in enumerate(tests):
+        train = assignment.train_indices(fold_id)
+        y_train = y[train]  # the training rows keep the order the clamp needs
+        model = _fit(face, ecg, y_train, [(gaps[train], top[train]) for gaps, top in ranks], cfg)
+        weights = compute_baseline_weights(accuracy(face_top[train], y_train), accuracy(ecg_top[train], y_train))
+        fused[test] = predict_fused_batch(face.values[test], ecg.values[test], model)
+        weighted_sum[test] = predict_weighted_sum_batch(face.values[test], ecg.values[test], weights)
+    decisions = {"face": face_top, "ecg": ecg_top, "fused": fused, "weighted_sum": weighted_sum}
+    for vector in decisions.values():
+        vector.setflags(write=False)
 
+    folds = tuple(
+        FoldResult(
+            fold_id,
+            **{f"acc_{name}": accuracy(vector[test], y[test]) for name, vector in decisions.items()},
+            error_count_fused=int(np.sum(fused[test] != y[test])),
+        )
+        for fold_id, test in enumerate(tests)
+    )
+
+    def agg(name: str) -> MeanStd:
+        vals = np.array([getattr(f, f"acc_{name}") for f in folds], dtype=np.float64)
+        return MeanStd(mean=float(vals.mean()), std=float(vals.std(ddof=1)))
+
+    summary = ReportSummary(**{name: agg(name) for name in decisions})
     config = RunConfig(
         seed=seed,
         folds=k,
@@ -254,4 +246,4 @@ def run_experiment(
         n_samples=dataset.num_samples,
         n_classes=dataset.num_classes,
     )
-    return ExperimentReport.build(config=config, folds=folds)
+    return ExperimentReport(config=config, folds=folds, summary=summary, decisions=decisions)

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import idfusion
+from idfusion.evaluation import make_folds
 
 
 def rank_indices_reference(values, n):
@@ -57,6 +58,64 @@ def subject_scores_reference(
         if scores[top] < clamp_floor:
             scores[top] = clamp_floor
     return [s / samples_per_class for s in scores]
+
+
+def experiment_reference(face, ecg, labels, k, seed, bound, rank_depth):
+    """Straight-line transcription of the k-fold experiment: its fold rows and out-of-fold decisions.
+
+    Only the fold assignment comes from the library (``make_folds`` has tests of its own).
+    Each fold fits both modalities' subject scores on its training rows, in sample order,
+    with :func:`subject_scores_reference`, rescales ECG minus face to peak at ``bound``,
+    weights the baseline by the two training top-1 accuracies, and decides each test sample
+    by explicit per-class sums, taking the first maximum. Returns ``(rows, decisions)``: per
+    fold a dict of ``FoldResult`` fields, and per system (face, ecg, fused, weighted_sum) a
+    list with every sample's decision. A fold where both modalities miss every training
+    sample has no baseline weights and raises ``ZeroDivisionError``.
+    """
+    face = [list(map(float, r)) for r in face]
+    ecg = [list(map(float, r)) for r in ecg]
+    y = [int(v) for v in labels]
+    n, m = len(y), len(face[0])
+    fold_of = [int(f) for f in make_folds(y, k, seed).fold_of_sample]
+
+    def first_max(values):
+        best = 0
+        for j in range(1, len(values)):
+            if values[j] > values[best]:
+                best = j
+        return best
+
+    def hits(decided, samples):
+        return sum(1 for i in samples if decided[i] == y[i])
+
+    decisions = {
+        "face": [first_max(r) for r in face],
+        "ecg": [first_max(r) for r in ecg],
+        "fused": [None] * n,
+        "weighted_sum": [None] * n,
+    }
+    rows = []
+    for fold in range(k):
+        train = [i for i in range(n) if fold_of[i] != fold]
+        test = [i for i in range(n) if fold_of[i] == fold]
+        y_train = [y[i] for i in train]
+        s_face = subject_scores_reference([face[i] for i in train], y_train, len(train) / m, rank_depth)
+        s_ecg = subject_scores_reference([ecg[i] for i in train], y_train, len(train) / m, rank_depth)
+        raw = [e - f for e, f in zip(s_ecg, s_face)]
+        peak = max(abs(v) for v in raw)
+        d = [v / peak * bound for v in raw] if peak else raw
+        acc_face = hits(decisions["face"], train) / len(train)
+        acc_ecg = hits(decisions["ecg"], train) / len(train)
+        w_face = acc_face / (acc_face + acc_ecg)
+        w_ecg = acc_ecg / (acc_face + acc_ecg)
+        for i in test:
+            fused = [face[i][j] * (0.5 - d[j]) + ecg[i][j] * (0.5 + d[j]) for j in range(m)]
+            decisions["fused"][i] = first_max(fused)
+            weighted = [face[i][j] * w_face + ecg[i][j] * w_ecg for j in range(m)]
+            decisions["weighted_sum"][i] = first_max(weighted)
+        accs = {f"acc_{name}": hits(decided, test) / len(test) for name, decided in decisions.items()}
+        rows.append({"fold_id": fold, **accs, "error_count_fused": len(test) - hits(decisions["fused"], test)})
+    return rows, decisions
 
 
 def rank1_accuracy_quadrature(true_class_mean, sigma, num_classes, nodes=301):

@@ -502,6 +502,7 @@ def _late_byte_file(line_3=None):
 
 
 _SIGNAL = (DATA / "ecg_recording.txt").read_text().splitlines()
+_TIMED = [f"{i / 512!r},{v}" for i, v in enumerate(_SIGNAL)]  # the recording as a 512 Hz 'time,value' CSV
 _SHORT_ECG_ROW = _with_line("ecg_raw.csv", 3, "s14,2,-1.0649,-0.6631,-0.9821,-0.0489,-1.6345")
 _FACE_HEADER = (DATA / "face_raw.csv").read_text().splitlines()[0]
 _SWAPPED_MODEL = json.dumps({**json.loads((DATA / "model.json").read_text()), "modality_order": ["ecg", "face"]})
@@ -627,7 +628,7 @@ _CASES = [
     pytest.param(["prep-ecg", *_RECORDING, "--rate", "1e308"], {},
                  EXIT_DATA, "invalid data: gate duration of 4.0 s at 1e+308 Hz overflows the sample count",
                  id="rate-overflows-sample-count"),
-    # a rate inferred from a CSV time column: a step too small to invert, a span past float64
+    # a rate inferred from a CSV time column: a step too small to invert, a span past float64, a time that is not finite
     pytest.param(["prep-ecg", "--in", "{tmp}/tiny.csv", "--out", "{tmp}/window.txt"],
                  {"tiny.csv": "0,0.1\n5e-324,0.5\n1e-323,0.2\n"},
                  EXIT_DATA, "invalid data: {tmp}/tiny.csv: the time column's median step of 5e-324 s "
@@ -636,6 +637,12 @@ _CASES = [
                  {"wide.csv": "-1.7e308,0.1\n1.7e308,0.5\n"},
                  EXIT_DATA, "invalid data: {tmp}/wide.csv: the time column's median step of inf s "
                             "gives no finite positive rate", id="time-span-overflows"),
+    pytest.param(["prep-ecg", "--in", "{tmp}/inf.csv", "--out", "{tmp}/window.txt", "--duration", "1"],
+                 {"inf.csv": "\n".join([*_TIMED, "inf,0.0"]) + "\n"},
+                 EXIT_DATA, "invalid data: {tmp}/inf.csv:1025: non-finite time 'inf'", id="time-inf"),
+    pytest.param(["prep-ecg", "--in", "{tmp}/nan.csv", "--out", "{tmp}/window.txt", "--duration", "1"],
+                 {"nan.csv": "\n".join([*_TIMED[:512], "nan,0.2", *_TIMED[513:]]) + "\n"},
+                 EXIT_DATA, "invalid data: {tmp}/nan.csv:513: non-finite time 'nan'", id="time-nan"),
     pytest.param(["prep-ecg", "--in", "{tmp}/late.txt", "--out", "{tmp}/window.txt"],
                  {"late.txt": "\n".join([*_SIGNAL[:2], "# lead I", *_SIGNAL[2:-3], "0.2.1", *_SIGNAL[-2:]]) + "\n"},
                  EXIT_DATA, "invalid data: {tmp}/late.txt:1023: non-numeric line in signal file",

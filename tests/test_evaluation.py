@@ -1,7 +1,11 @@
 """Fold construction, per-fold evaluation, and report aggregation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idfusion.core import ConfidenceMatrix, PairedDataset, ValidationError
 from idfusion.evaluation import (
@@ -20,12 +24,17 @@ from idfusion.fusion import (
     predict_fused_batch,
     predict_weighted_sum_batch,
 )
+from idfusion.io import format_report
 from idfusion.scoring import compute_subject_scores
 from idfusion.simulator import (
+    DESK_PRESET,
     DegradationScenario,
     GeneratorParams,
+    calibrate_clean_regime,
+    calibrate_degraded_regime,
     generate_dataset,
 )
+from reference import experiment_reference
 
 
 def _desk_dataset(seed=0, sigma=0.35):
@@ -229,6 +238,18 @@ class TestRunExperiment:
                 ),
                 error_count_fused=int(np.sum(fused != y_te)),
             )
+            # the fold row is read from the out-of-fold decisions over the fold's test samples
+            accs = {f"acc_{name}": accuracy(v[te], y_te) for name, v in report.decisions.items()}
+            errors = int(np.sum(report.decisions["fused"][te] != y_te))
+            assert report.folds[fold] == FoldResult(fold_id=fold, **accs, error_count_fused=errors)
+        assert list(report.decisions) == ["face", "ecg", "fused", "weighted_sum"]
+        for v in report.decisions.values():
+            assert v.dtype == np.int64 and v.shape == labels.shape and not v.flags.writeable
+        # the decisions stay out of equality and of both report formats
+        other = replace(report, decisions={name: np.zeros_like(v) for name, v in report.decisions.items()})
+        assert other == report
+        for fmt in ("text", "structured"):
+            assert format_report(other, fmt) == format_report(report, fmt)
 
     def test_config_echo(self):
         ds = _desk_dataset(6)
@@ -239,6 +260,63 @@ class TestRunExperiment:
         assert (c.seed, c.folds, c.bound, c.rank_depth) == (11, 5, 0.15, 4)
         assert c.scenario == "clean"
         assert (c.n_samples, c.n_classes) == (ds.num_samples, ds.num_classes)
+
+
+def _matches_reference(ds, k, seed, cfg):
+    """``run_experiment`` equals the plain-loop oracle exactly: every fold row and every decision."""
+    face, ecg = ds.face.values, ds.ecg.values
+    try:
+        rows, decisions = experiment_reference(face, ecg, ds.labels, k, seed, cfg.bound, cfg.rank_depth)
+    except ZeroDivisionError:  # a fold where both modalities miss every training sample
+        with pytest.raises(ValidationError, match="both accuracies are zero"):
+            run_experiment(ds, k=k, seed=seed, cfg=cfg)
+        return
+    report = run_experiment(ds, k=k, seed=seed, cfg=cfg)
+    assert report.folds == tuple(FoldResult(**row) for row in rows)
+    assert {name: v.tolist() for name, v in report.decisions.items()} == decisions
+
+
+@pytest.mark.filterwarnings("ignore:unbalanced")
+class TestExperimentReference:
+    """The whole k-fold harness against ``reference.experiment_reference``."""
+
+    @given(
+        m=st.integers(min_value=2, max_value=6),
+        k=st.integers(min_value=2, max_value=4),
+        extra=st.lists(st.integers(min_value=0, max_value=4), min_size=6, max_size=6),
+        levels=st.sampled_from([0, 2, 3, 5]),  # scores on a grid of this many steps tie within rows; 0: no grid
+        bound=st.one_of(
+            st.floats(min_value=1e-12, max_value=0.01),
+            st.floats(min_value=0.49, max_value=0.5, exclude_max=True),
+        ),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    @settings(deadline=None)
+    def test_matches_reference(self, m, k, extra, levels, bound, seed, data):
+        rank_depth = data.draw(st.integers(min_value=1, max_value=m), label="rank_depth")
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(np.repeat(np.arange(m), k + np.array(extra[:m])))  # unbalanced, interleaved
+        ids = tuple(f"s{i}" for i in range(labels.size))
+
+        def scores(modality, hit):
+            if levels:
+                values = rng.integers(0, levels, size=(labels.size, m)) / (levels - 1)
+            else:
+                values = rng.random((labels.size, m))
+            boost = rng.random(labels.size) < hit
+            values[boost, labels[boost]] = 1.0
+            return ConfidenceMatrix(values, ids, modality)
+
+        ds = PairedDataset(scores("face", 0.6), scores("ecg", 0.4), labels)
+        _matches_reference(ds, k, int(rng.integers(0, 1000)), EvalConfig(bound=bound, rank_depth=rank_depth))
+
+    @pytest.mark.parametrize("scenario", ["clean", "degraded"])
+    def test_desk_preset_matches_reference(self, scenario):
+        clean = calibrate_clean_regime(*DESK_PRESET)
+        regime = calibrate_degraded_regime(clean) if scenario == "degraded" else clean
+        ds = generate_dataset(regime.face, regime.ecg, regime.scenario, 0)
+        _matches_reference(ds, 10, 0, EvalConfig())
 
 
 class TestTrainFusionModel:
