@@ -17,6 +17,7 @@ import argparse
 import functools
 import inspect
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -314,13 +315,7 @@ def _cmd_calibrate(args) -> int:
         true_class_mean=args.mean,
     )
     result = calibrate(args.target, template, sigma_range=(args.sigma_min, args.sigma_max))
-    doc = {
-        "target": result.target,
-        "sigma": result.sigma,
-        "achieved": result.achieved,
-        "num_classes": args.classes,
-        "true_class_mean": args.mean,
-    }
+    doc = {**asdict(result), "num_classes": args.classes, "true_class_mean": args.mean}
     _emit(json_text(doc), args.out)
     return EXIT_OK
 

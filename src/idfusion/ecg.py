@@ -198,6 +198,7 @@ def read_signal(path, sample_rate: float | None = None) -> EcgSignal:
             try:
                 values += map(float, lines)  # on a bad line, the values before it stay appended
             except ValueError as exc:
+                _check_finite(p, values, numbers)  # a NaN or infinite line before the bad one comes first
                 raise ValidationError(f"{line_ref(p, numbers[len(values)])}: non-numeric line in signal file") from exc
             continue
         for ln, n in zip(lines, block_numbers):
@@ -211,8 +212,12 @@ def read_signal(path, sample_rate: float | None = None) -> EcgSignal:
                 raise ValidationError(f"{line_ref(p, n)}: non-numeric field") from exc
             if not -np.inf < times[-1] < np.inf:  # also false for NaN, which the increasing check below lets pass
                 raise ValidationError(f"{line_ref(p, n)}: non-finite time {parts[0]!r}")
+            if not -np.inf < values[-1] < np.inf:
+                raise ValidationError(f"{line_ref(p, n)}: non-finite sample {values[-1]}")
     if not numbers:
         raise ValidationError(f"signal file {p} is empty")
+    samples = np.asarray(values)
+    _check_finite(p, samples, numbers)
     if csv and sample_rate is None:
         with np.errstate(over="ignore", invalid="ignore"):  # a step past float64 or too small to invert: rejected below
             dt = np.diff(np.asarray(times))
@@ -225,9 +230,16 @@ def read_signal(path, sample_rate: float | None = None) -> EcgSignal:
         if not 0.0 < sample_rate < np.inf:  # also false for NaN
             raise ValidationError(f"{p}: the time column's median step of {step!r} s gives no finite positive rate")
     return EcgSignal(
-        samples=np.asarray(values),
+        samples=samples,
         sample_rate=DEFAULT_SAMPLE_RATE if sample_rate is None else sample_rate,
     )
+
+
+def _check_finite(p: Path, values, numbers) -> None:
+    """Reject the first NaN or infinite value with its ``file:line``; ``numbers[i]`` is value i's line."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValidationError(f"{line_ref(p, numbers[bad[0]])}: non-finite sample {values[bad[0]]}")
 
 
 def write_signal(sig: EcgSignal, path) -> None:

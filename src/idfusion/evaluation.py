@@ -12,7 +12,7 @@ the summary are read from those four vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -238,12 +238,6 @@ def run_experiment(
 
     summary = ReportSummary(**{name: agg(name) for name in decisions})
     config = RunConfig(
-        seed=seed,
-        folds=k,
-        bound=cfg.bound,
-        rank_depth=cfg.rank_depth,
-        scenario=cfg.scenario,
-        n_samples=dataset.num_samples,
-        n_classes=dataset.num_classes,
+        seed=seed, folds=k, **asdict(cfg), n_samples=dataset.num_samples, n_classes=dataset.num_classes
     )
     return ExperimentReport(config=config, folds=folds, summary=summary, decisions=decisions)

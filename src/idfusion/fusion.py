@@ -126,8 +126,8 @@ def _reweighted_argmax(face_values, ecg_values, face_weight, ecg_weight) -> np.n
 
 def predict_fused(c_face, c_ecg, model: FusionModel) -> int:
     """Fused class decision for one sample; ties go to the lower index."""
-    a = as_confidence_vector(c_face)
-    b = as_confidence_vector(c_ecg)
+    a = as_confidence_vector(c_face, name="face confidence vector")
+    b = as_confidence_vector(c_ecg, name="ECG confidence vector")
     return int(predict_fused_batch(a[None, :], b[None, :], model)[0])
 
 

@@ -27,7 +27,7 @@ import itertools
 import json
 import os
 import pickle
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +264,10 @@ def load_paired_dataset(face_path, ecg_path, normalize: bool = True) -> PairedDa
             raise ValidationError(
                 f"{path}: given as the {role} score file, but its columns are tagged {other!r}"
             )
+    if face.num_classes != ecg.num_classes:
+        raise ValidationError(
+            f"{face_path} has {face.num_classes} classes but {ecg_path} has {ecg.num_classes}"
+        )
     if set(face.sample_ids) != set(ecg.sample_ids):
         only_face = set(face.sample_ids) - set(ecg.sample_ids)
         only_ecg = set(ecg.sample_ids) - set(face.sample_ids)
@@ -276,8 +280,11 @@ def load_paired_dataset(face_path, ecg_path, normalize: bool = True) -> PairedDa
         order = [pos[sid] for sid in face.sample_ids]
         ecg = ecg.take(order)
         y_ecg = y_ecg[order]
-    if not np.array_equal(y_face, y_ecg):
-        raise ValidationError("modality files disagree on true labels")
+    differ = np.flatnonzero(y_face != y_ecg)
+    if differ.size:
+        raise ValidationError(
+            f"{face_path} and {ecg_path} disagree on the true label of sample {face.sample_ids[differ[0]]!r}"
+        )
     return PairedDataset(face=face, ecg=ecg, labels=y_face)
 
 
@@ -386,27 +393,11 @@ def render_report_text(report: ExperimentReport) -> str:
         f"bound: {c.bound}  rank_depth: {c.rank_depth}  "
         f"samples: {c.n_samples}  classes: {c.n_classes}"
     )
-    cols = ["fold", "face(%)", "ecg(%)", "fused(%)", "weighted_sum(%)"]
-    rows = [
-        [
-            str(f.fold_id),
-            f"{100 * f.acc_face:.3f}",
-            f"{100 * f.acc_ecg:.3f}",
-            f"{100 * f.acc_fused:.3f}",
-            f"{100 * f.acc_weighted_sum:.3f}",
-        ]
-        for f in report.folds
-    ]
-    s = report.summary
-    rows.append(
-        [
-            "avg±std",
-            f"{100 * s.face.mean:.3f}±{100 * s.face.std:.2f}",
-            f"{100 * s.ecg.mean:.3f}±{100 * s.ecg.std:.2f}",
-            f"{100 * s.fused.mean:.3f}±{100 * s.fused.std:.2f}",
-            f"{100 * s.weighted_sum.mean:.3f}±{100 * s.weighted_sum.std:.2f}",
-        ]
-    )
+    systems = [f.name for f in fields(report.summary)]
+    cols = ["fold", *(f"{name}(%)" for name in systems)]
+    rows = [[str(r.fold_id), *(f"{100 * getattr(r, f'acc_{name}'):.3f}" for name in systems)] for r in report.folds]
+    means = [getattr(report.summary, name) for name in systems]
+    rows.append(["avg±std", *(f"{100 * m.mean:.3f}±{100 * m.std:.2f}" for m in means)])
     widths = [max(len(r[i]) for r in rows + [cols]) for i in range(len(cols))]
     lines = [head, "  ".join(c.ljust(w) for c, w in zip(cols, widths))]
     lines += ["  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip() for r in rows]

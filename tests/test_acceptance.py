@@ -189,6 +189,18 @@ def test_criterion_5_degraded_regime_experiment():
     )
 
 
+@pytest.mark.slow
+def test_weighted_sum_wins_outside_the_bound_window():
+    # README "What the result depends on": at bounds of 0.05 and 0.45 the fused rule loses on every seed
+    regime = calibrate_degraded_regime(calibrate_clean_regime(87, 100))
+    for seed in MASTER_SEEDS:
+        ds = generate_dataset(regime.face, regime.ecg, regime.scenario, np.random.SeedSequence(seed).spawn(2)[1])
+        for bound in (0.05, 0.45):
+            decisions = run_experiment(ds, k=10, seed=seed, cfg=EvalConfig(bound=bound)).decisions
+            errors = {name: int(np.sum(decisions[name] != ds.labels)) for name in ("fused", "weighted_sum")}
+            assert errors["fused"] > errors["weighted_sum"], (seed, bound, errors)
+
+
 def test_criterion_6_subject_score_bounds():
     rng = np.random.default_rng(20240006)
     ok = True

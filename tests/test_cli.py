@@ -521,9 +521,16 @@ _DIRECTORY = object()  # a ``files`` value: make a directory by that name
 _CASES = [
     pytest.param(["evaluate", "--face", _FACE_RAW, "--ecg", "{tmp}/wide.csv", "--folds", "5"],
                  {"wide.csv": _ecg_with_a_seventh_class()},
-                 EXIT_DATA, "invalid data: modality shapes differ: (30, 6) vs (30, 7)", id="shapes-differ"),
+                 EXIT_DATA, f"invalid data: {_FACE_RAW} has 6 classes but {{tmp}}/wide.csv has 7", id="shapes-differ"),
+    pytest.param(["evaluate", "--face", _FACE_RAW, "--ecg", "{tmp}/flipped.csv", "--folds", "5"],
+                 {"flipped.csv": _with_line("ecg_raw.csv", 2, "s22,5,-0.7559,-0.4876,-0.9294,0.0723,-0.988,-1.733")},
+                 EXIT_DATA, f"invalid data: {_FACE_RAW} and {{tmp}}/flipped.csv disagree on the true label of sample "
+                            "'s22'", id="labels-disagree"),
     pytest.param(["prep-ecg", "--in", "{tmp}/nan.txt", "--out", "{tmp}/window.txt"], {"nan.txt": "0.1\nnan\n0.3\n"},
-                 EXIT_DATA, "invalid data: signal contains NaN or infinite samples", id="nan-signal"),
+                 EXIT_DATA, "invalid data: {tmp}/nan.txt:2: non-finite sample nan", id="nan-signal"),
+    pytest.param(["prep-ecg", "--in", "{tmp}/inf.csv", "--out", "{tmp}/window.txt", "--duration", "1"],
+                 {"inf.csv": "\n".join([*_TIMED, "10.1,inf"]) + "\n"},
+                 EXIT_DATA, "invalid data: {tmp}/inf.csv:1025: non-finite sample inf", id="inf-signal-csv"),
     pytest.param(["prep-ecg", *_RECORDING, "--threshold-fraction", "1"], {},
                  EXIT_DATA, "invalid data: threshold_fraction must lie in (0, 1)", id="threshold-fraction"),
     pytest.param(["prep-ecg", *_RECORDING, "--duration", "0.0005"], {},
@@ -593,6 +600,13 @@ _CASES = [
                  {}, EXIT_DATA,
                  f"invalid data: {_ECG_RAW}: given as the face score file, but its columns are tagged 'ecg'",
                  id="evaluate-swapped-files"),
+    pytest.param(["fuse", "--model", str(DATA / "model.json"), "--face", "0.1,0.9,0.3,0.2,0.4,0.5",
+                  "--ecg", "0.2,nan,0.8,0.1,0.0,0.6"], {},
+                 EXIT_DATA, "invalid data: ECG confidence vector contains NaN or infinite entries", id="fuse-ecg-nan"),
+    pytest.param(["fuse", "--model", str(DATA / "model.json"), "--face", "0.1,0.9,0.3,1.6,0.4,0.5",
+                  "--ecg", "0.2,0.3,0.8,0.1,0.0,0.6"], {},
+                 EXIT_DATA, "invalid data: face confidence vector has values outside [0, 1] (min=0.1, max=1.6); "
+                            "normalize before use", id="fuse-face-out-of-range"),
     pytest.param(["fuse", "--model", "{tmp}/swapped.json", *_SIX_CLASS_VECTORS], {"swapped.json": _SWAPPED_MODEL},
                  EXIT_DATA, "invalid data: {tmp}/swapped.json: not a fusion model file: modality_order "
                             "['ecg', 'face'] puts ecg on the face (minus) side or face on the ecg (plus) side",

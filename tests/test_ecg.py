@@ -211,6 +211,22 @@ class TestSignalFiles:
             read_signal(path)
         assert str(got.value) == f"{path}:1151: non-numeric line in signal file"
 
+    @pytest.mark.parametrize("block", [7, 64, 4096])
+    @pytest.mark.parametrize("non_finite_at, bad_at", [(400, 1150), (1149, 1150), (1150, 400)])
+    def test_first_fault_in_file_order_is_named(self, tmp_path, monkeypatch, block, non_finite_at, bad_at):
+        # a non-finite line is found after its block is converted, a non-numeric one while it is
+        monkeypatch.setattr(core, "_READ_BLOCK_CHARS", block)
+        lines = ["# rec", "", *(f"0.{k:04d}" for k in range(1, 1201))]
+        lines[non_finite_at], lines[bad_at] = "nan", "0.1.2"
+        path = tmp_path / "late.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError) as got:
+            read_signal(path)
+        if non_finite_at < bad_at:
+            assert str(got.value) == f"{path}:{non_finite_at + 1}: non-finite sample nan"
+        else:
+            assert str(got.value) == f"{path}:{bad_at + 1}: non-numeric line in signal file"
+
     @pytest.mark.parametrize("suffix", [".txt", ".csv"])
     @pytest.mark.parametrize("rate", [512, 250.5, 3])
     def test_written_bytes_match_the_per_scalar_formula(self, tmp_path, suffix, rate):
@@ -233,12 +249,13 @@ class TestSignalFiles:
     [
         (np.zeros((2, 3)), "signal must be a nonempty 1-D array, got shape (2, 3)"),
         (np.zeros(0), "signal must be a nonempty 1-D array, got shape (0,)"),
+        (np.array([0.1, np.inf]), "signal contains NaN or infinite samples"),
     ],
-    ids=["2d", "empty"],
+    ids=["2d", "empty", "inf"],
 )
 def test_signal_shape_messages(samples, message):
-    # NaN samples, the threshold fraction, a sub-sample gate and an empty file are reached
-    # through the CLI, in tests/test_cli.py
+    # a NaN sample in a file, the threshold fraction, a sub-sample gate and an empty file are
+    # reached through the CLI, in tests/test_cli.py
     with pytest.raises(ValidationError) as exc:
         EcgSignal(samples)
     assert str(exc.value) == message

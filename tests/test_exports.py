@@ -1,4 +1,4 @@
-"""Every public name resolves: each module's ``__all__`` and the package re-exports.
+"""Every public name resolves: each module's ``__all__``, the package re-exports and README's examples.
 
 The benchmark tracer walks each module's ``__all__`` with
 ``inspect.getattr_static``, so one stale entry would break every traced run.
@@ -8,6 +8,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,10 @@ def test_no_module_imports_another_modules_private_name():
                 found += [f"{path.stem}: from {node.module} import {a.name}" for a in node.names
                           if a.name.startswith("_")]
     assert found == []
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```$", (Path(__file__).parents[1] / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
